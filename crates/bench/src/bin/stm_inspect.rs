@@ -5,16 +5,18 @@
 //! instance (`StmConfig::auto`: adaptive stripes + auto clock) under BOTH
 //! driver modes, then renders what the telemetry subsystem recorded:
 //! latency distributions (count, p50/p90/p99/p999, sparkline) for commit /
-//! abort-gap / fence-wait / grace-scan, the background driver's duty
-//! cycle, and the last governor decisions *with the counters that
-//! justified them* straight from the flight recorder.
+//! abort-gap / fence-wait / grace-scan, the commit histogram's sampling
+//! rate next to the exact commit count from `Stats`, the background
+//! driver's duty cycle, and the last governor decisions *with the
+//! counters that justified them* straight from the flight recorder.
 //!
 //! Usage: `stm_inspect [txns_per_phase]` (default: 2048)
 //!
 //! With `--json`, additionally writes the background-mode snapshot as
-//! `BENCH_telemetry.json` (schema `bench_telemetry/v1`) and prints it to
+//! `BENCH_telemetry.json` (schema `bench_telemetry/v2`) and prints it to
 //! stdout; the human report moves to stderr.
 
+use std::sync::Mutex;
 use std::time::Duration;
 use tm_stm::prelude::*;
 use tm_stm::runtime::DriverMode;
@@ -62,12 +64,15 @@ fn sparkline(h: &LatencyHistogram) -> String {
 /// The conformance-style phase-shift workload: a write-heavy phase with
 /// periodic privatizing fences (drives the governor toward GV5 and feeds
 /// the fence/grace histograms), then a read-only phase (drives it back to
-/// GV1). Two worker threads over overlapping registers.
-fn run_workload(stm: &Tl2Stm, txns_per_phase: u64) {
+/// GV1). Two worker threads over overlapping registers; returns their
+/// merged `Stats`.
+fn run_workload(stm: &Tl2Stm, txns_per_phase: u64) -> Stats {
     const NREGS: u64 = 1024;
+    let stats = Mutex::new(Stats::default());
     std::thread::scope(|scope| {
         for slot in 0..2usize {
             let mut h = stm.handle(slot);
+            let stats = &stats;
             scope.spawn(move || {
                 // Phase 1: write-heavy, fence every 256 commits.
                 for i in 0..txns_per_phase {
@@ -85,6 +90,7 @@ fn run_workload(stm: &Tl2Stm, txns_per_phase: u64) {
                     let r = ((i * 11 + slot as u64) % NREGS) as usize;
                     h.atomic(|tx| tx.read(r));
                 }
+                stats.lock().expect("a worker panicked").merge(&h.stats());
             });
         }
     });
@@ -96,9 +102,14 @@ fn run_workload(stm: &Tl2Stm, txns_per_phase: u64) {
         h.atomic(|tx| tx.read(0));
         std::thread::yield_now();
     }
+    stats.into_inner().expect("a worker panicked")
 }
 
-fn render(out: &mut impl std::io::Write, snap: &TelemetrySnapshot) -> std::io::Result<()> {
+fn render(
+    out: &mut impl std::io::Write,
+    snap: &TelemetrySnapshot,
+    stats: &Stats,
+) -> std::io::Result<()> {
     let mode = snap.driver_mode.unwrap_or("?");
     writeln!(out, "== driver mode: {mode} ==")?;
     match snap.driver_idle_wakeups {
@@ -111,6 +122,13 @@ fn render(out: &mut impl std::io::Write, snap: &TelemetrySnapshot) -> std::io::R
         snap.events.len(),
         snap.dropped,
         snap.capacity
+    )?;
+    writeln!(
+        out,
+        "commit latency sampled 1/{}: {} samples of {} commits (exact, from Stats)",
+        snap.sample_every,
+        snap.hists.commit.count(),
+        stats.commits
     )?;
     writeln!(
         out,
@@ -183,15 +201,15 @@ fn main() {
                 .grace_driver(mode)
                 .trace(TraceConfig::with_capacity(4096)),
         );
-        run_workload(&stm, txns_per_phase);
+        let stats = run_workload(&stm, txns_per_phase);
         let snap = stm.telemetry_snapshot();
         if mode == DriverMode::Background {
             background_json = Some(snap.to_json());
         }
         if json {
-            render(&mut std::io::stderr(), &snap).expect("render to stderr");
+            render(&mut std::io::stderr(), &snap, &stats).expect("render to stderr");
         } else {
-            render(&mut std::io::stdout().lock(), &snap).expect("render to stdout");
+            render(&mut std::io::stdout().lock(), &snap, &stats).expect("render to stdout");
         }
     }
     if json {

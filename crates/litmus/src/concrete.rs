@@ -19,6 +19,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Duration;
 use tm_core::hb::is_drf;
 use tm_core::opacity::{check_strong_opacity, CheckOptions};
 use tm_core::trace::History;
@@ -1161,6 +1162,19 @@ pub fn reader_writer_handoff_expected_finals() -> Vec<u64> {
 /// hand back (flag := W_TURN). After the last round the writer privatizes
 /// once more and settles the block, so the finals are deterministic.
 fn reader_writer_handoff<F: StmFactory>(stm: &F) -> u64 {
+    /// Pause between two polls of a wait loop whose polls are *recorded*
+    /// transactions: yield at first, then sleep, doubling from 50 µs to
+    /// 1.6 ms. A waiter whose peer is descheduled for 100 ms then adds a
+    /// few hundred actions to the history, not the 100 000 a bare yield
+    /// loop records — `check` is superlinear in history length and spun
+    /// for minutes on such a history.
+    fn poll_pause(polls: &mut u32) {
+        *polls += 1;
+        match polls.checked_sub(32) {
+            None => std::thread::yield_now(),
+            Some(n) => std::thread::sleep(Duration::from_micros(50 << n.min(5))),
+        }
+    }
     fn set_phase<H: StmHandle>(h: &mut H, who: u64, nonce: &mut u64, phase: u64) {
         h.atomic(|tx| {
             *nonce += 1;
@@ -1180,6 +1194,7 @@ fn reader_writer_handoff<F: StmFactory>(stm: &F) -> u64 {
                 for r in 1..=RW_ROUNDS {
                     // Await this round's shared phase with a consistent
                     // guarded snapshot (data is only read under the flag).
+                    let mut polls = 0;
                     let (d0, d1) = loop {
                         let snap = h.atomic(|tx| {
                             if tx.read(RW_FLAG)? & RW_PHASE_MASK == RW_SHARED {
@@ -1191,7 +1206,7 @@ fn reader_writer_handoff<F: StmFactory>(stm: &F) -> u64 {
                         if let Some(pair) = snap {
                             break pair;
                         }
-                        std::thread::yield_now();
+                        poll_pause(&mut polls);
                     };
                     if d0 != rw_mark(r, 0) || d1 != rw_mark(r, 1) {
                         lost += 1; // torn or stale snapshot
@@ -1225,8 +1240,9 @@ fn reader_writer_handoff<F: StmFactory>(stm: &F) -> u64 {
                 }
             }
             set_phase(&mut h, 0, &mut nonce, RW_SHARED);
+            let mut polls = 0;
             while phase_of(&mut h) != RW_W_TURN {
-                std::thread::yield_now();
+                poll_pause(&mut polls);
             }
         }
         // Settle under one last writer-side privatization.

@@ -13,7 +13,8 @@
 //!   transaction and immediately starts another does not re-capture the
 //!   fence, so fences terminate even under continuous transaction traffic.
 //! * [`BoolTable`] — the paper's Fig 7 Boolean `active[t]` flags, kept for
-//!   fidelity (and used by the executable TL2 specification in `tm-lang`).
+//!   fidelity to the figure only: nothing outside this file uses it (the
+//!   executable TL2 specification in `tm-lang` models the flags itself).
 //!   Under continuous traffic a fence may over-wait, because a freshly
 //!   started transaction makes `active[t]` true again before the fence
 //!   re-reads it; it still satisfies Def 2.1's fence clause.
@@ -345,6 +346,12 @@ impl GraceEngine {
         let _ = self.telemetry.set(telemetry);
     }
 
+    /// The attached telemetry sink, if any (fence tickets record their
+    /// retirement through it).
+    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
+        self.telemetry.get()
+    }
+
     /// The epoch table the engine scans. Critical sections register here
     /// exactly as with a bare table.
     pub fn epochs(&self) -> &EpochTable {
@@ -535,7 +542,7 @@ impl GraceEngine {
             self.completed.store(done, Ordering::SeqCst);
             drop(st);
             if let (Some(tel), Some(s0)) = (self.telemetry.get(), started) {
-                tel.record_grace_scan(done, s0.elapsed().as_nanos() as u64);
+                tel.record_grace_scan(done, s0);
             }
             self.run_callbacks();
             self.collect_retired();

@@ -56,7 +56,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tm_core::action::Kind;
 use tm_quiesce::{GraceTicket, StallInfo};
-use tm_telemetry::{EventKind, Telemetry};
+use tm_telemetry::EventKind;
 
 /// A pending (or already-elapsed) transactional fence: completes once every
 /// transaction active at issue has committed or aborted.
@@ -69,9 +69,10 @@ pub struct FenceTicket {
     grace: Option<GraceTicket>,
     /// Recorder and thread slot for the `FEnd` emitted at resolution.
     rec: Option<(Arc<Recorder>, usize)>,
-    /// Telemetry hub and issuing slot for the `fence-retire` trace event
-    /// emitted at resolution (`None` when tracing is off at issue).
-    tel: Option<(Arc<Telemetry>, u16)>,
+    /// Issuing slot for the `fence-retire` trace event emitted at
+    /// resolution (`None` when tracing is off at issue); the telemetry hub
+    /// is the grace engine's.
+    tel_slot: Option<u16>,
     resolved: bool,
 }
 
@@ -81,22 +82,22 @@ impl FenceTicket {
         FenceTicket {
             grace: None,
             rec: None,
-            tel: None,
+            tel_slot: None,
             resolved: true,
         }
     }
 
-    /// A pending fence over `grace`; `rec` emits `FEnd` and `tel` the
-    /// `fence-retire` trace event at resolution.
+    /// A pending fence over `grace`; at resolution `rec` emits `FEnd` and
+    /// `tel_slot` gets the `fence-retire` trace event.
     pub(crate) fn issued(
         grace: GraceTicket,
         rec: Option<(Arc<Recorder>, usize)>,
-        tel: Option<(Arc<Telemetry>, u16)>,
+        tel_slot: Option<u16>,
     ) -> Self {
         FenceTicket {
             grace: Some(grace),
             rec,
-            tel,
+            tel_slot,
             resolved: false,
         }
     }
@@ -119,7 +120,7 @@ impl FenceTicket {
     /// global progress even with no other waiter.
     pub fn poll(&mut self) -> bool {
         if !self.resolved && self.grace.as_ref().is_none_or(|g| g.poll()) {
-            self.resolve();
+            self.resolve(None, None);
         }
         self.resolved
     }
@@ -129,6 +130,12 @@ impl FenceTicket {
     /// [`StmHandle::fence_join`], which also charges that time to
     /// [`crate::api::Stats::fence_wait_ns`].
     pub fn wait(&mut self) -> Duration {
+        self.wait_as(None)
+    }
+
+    /// [`Self::wait`] on behalf of the handle that owns thread slot
+    /// `joiner` ([`StmHandle::fence_join`]).
+    pub(crate) fn wait_as(&mut self, joiner: Option<u16>) -> Duration {
         if self.resolved {
             return Duration::ZERO;
         }
@@ -136,8 +143,9 @@ impl FenceTicket {
         if let Some(g) = &self.grace {
             g.wait();
         }
-        self.resolve();
-        start.elapsed()
+        let end = Instant::now();
+        self.resolve(Some(end), joiner);
+        end.duration_since(start)
     }
 
     /// [`Self::wait`], bounded: give up after `timeout`, returning a
@@ -153,6 +161,16 @@ impl FenceTicket {
     /// [`Self::on_complete`] to walk away without blocking. On success,
     /// returns the time spent blocked, like [`Self::wait`].
     pub fn wait_timeout(&mut self, timeout: Duration) -> Result<Duration, FenceTimeout> {
+        self.wait_timeout_as(timeout, None)
+    }
+
+    /// [`Self::wait_timeout`] on behalf of the handle that owns thread slot
+    /// `joiner` ([`StmHandle::fence_join_timeout`]).
+    pub(crate) fn wait_timeout_as(
+        &mut self,
+        timeout: Duration,
+        joiner: Option<u16>,
+    ) -> Result<Duration, FenceTimeout> {
         if self.resolved {
             return Ok(Duration::ZERO);
         }
@@ -166,8 +184,9 @@ impl FenceTicket {
                 });
             }
         }
-        self.resolve();
-        Ok(start.elapsed())
+        let end = Instant::now();
+        self.resolve(Some(end), joiner);
+        Ok(end.duration_since(start))
     }
 
     /// Run `f` when the fence resolves: immediately (on this thread) if it
@@ -183,18 +202,20 @@ impl FenceTicket {
     pub fn on_complete(mut self, f: impl FnOnce() + Send + 'static) {
         let grace = self.grace.take();
         let rec = self.rec.take();
-        let tel = self.tel.take();
+        let tel_slot = self.tel_slot.take();
         self.resolved = true; // disarm the blocking drop
         match grace {
             None => f(),
             Some(g) => {
                 let period = g.period();
+                let tel = tel_slot.zip(g.engine().telemetry().cloned());
                 g.on_complete(move || {
                     if let Some((r, slot)) = rec {
                         r.record(slot, Kind::FEnd);
                     }
-                    if let Some((t, slot)) = tel {
-                        t.record_event(slot, EventKind::FenceRetire { period });
+                    if let Some((slot, t)) = tel {
+                        let retire = EventKind::FenceRetire { period };
+                        t.record_foreign_event_at(slot, Instant::now(), retire);
                     }
                     f();
                 });
@@ -202,14 +223,28 @@ impl FenceTicket {
         }
     }
 
-    fn resolve(&mut self) {
+    /// Mark the fence resolved — as observed by the clock read `at`, when
+    /// the caller has one — and emit its `FEnd` and `fence-retire`. The
+    /// trace event goes to the issuing slot's own telemetry cell only when
+    /// the handle owning that slot is the one resolving (`joiner`); a
+    /// ticket polled, waited or dropped on its own may be on any thread, so
+    /// its event goes through the engine cell.
+    fn resolve(&mut self, at: Option<Instant>, joiner: Option<u16>) {
         self.resolved = true;
         if let Some((r, slot)) = self.rec.take() {
             r.record(slot, Kind::FEnd);
         }
-        if let Some((t, slot)) = self.tel.take() {
-            let period = self.grace.as_ref().map_or(0, |g| g.period());
-            t.record_event(slot, EventKind::FenceRetire { period });
+        if let (Some(slot), Some(g)) = (self.tel_slot.take(), &self.grace) {
+            let Some(t) = g.engine().telemetry() else {
+                return;
+            };
+            let retire = EventKind::FenceRetire { period: g.period() };
+            let at = at.unwrap_or_else(Instant::now);
+            if joiner == Some(slot) {
+                t.record_event_at(slot, at, retire);
+            } else {
+                t.record_foreign_event_at(slot, at, retire);
+            }
         }
     }
 }

@@ -31,7 +31,7 @@ use tm_core::action::Kind;
 use tm_core::ids::Reg;
 use tm_quiesce::{EpochTable, GraceDriver, GraceEngine};
 use tm_telemetry::{
-    AbortCause, EventKind, LatencyClass, Telemetry, TelemetrySnapshot, TraceConfig,
+    AbortCause, EventKind, LatencyClass, Telemetry, TelemetrySnapshot, TraceConfig, SAMPLE_EVERY,
 };
 
 /// Exponential-backoff tuning for the shared retry loop.
@@ -319,8 +319,11 @@ pub struct Runtime {
     driver: Option<GraceDriver>,
     recorder: Option<Arc<Recorder>>,
     /// The instance's telemetry hub: per-slot latency histograms plus the
-    /// flight-recorder rings (see [`tm_telemetry`]). Always present; when
-    /// tracing is off every event site costs exactly one relaxed load.
+    /// flight-recorder rings (see [`tm_telemetry`]). Always present. When
+    /// tracing is off every event site costs exactly one relaxed load;
+    /// when it is on (the default) a handle times one attempt in
+    /// [`SAMPLE_EVERY`] and the rest touch no clock and no telemetry word,
+    /// so a steady-state transaction pays nothing either way.
     telemetry: Arc<Telemetry>,
     /// Additive per-tick hooks multiplexed onto the background driver's
     /// single hook slot (governor polls, telemetry export, ...).
@@ -580,8 +583,9 @@ impl Runtime {
 
     /// Merge every slot's histograms and flight-recorder ring into one
     /// [`TelemetrySnapshot`], stamped with this runtime's driver mode and
-    /// (under the background driver) its idle-wakeup count. Coherent but
-    /// not atomic across slots; intended for reporting, not invariants.
+    /// (under the background driver) its idle-wakeup count. Never blocks a
+    /// transaction. Coherent but not atomic across slots; intended for
+    /// reporting, not invariants.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut snap = self.telemetry.snapshot();
         snap.driver_mode = Some(self.driver_mode().label());
@@ -780,9 +784,15 @@ pub struct Handle<P: Policy> {
     /// unwind released every lock and the epoch slot — only this handle is
     /// condemned.
     poisoned: bool,
-    /// When the in-flight attempt began, for the commit-latency histogram.
-    /// `None` whenever telemetry is disabled (the clock is never sampled).
+    /// When the in-flight attempt began, if it is a *sampled* one: the
+    /// per-attempt telemetry decision, made once in `begin`. `Some` means
+    /// `TxBegin` was traced and the commit will be timed and traced;
+    /// `None` (63 attempts in 64, and always when telemetry is disabled)
+    /// means the attempt touches no clock and no telemetry word.
     tx_started: Option<Instant>,
+    /// Attempts to skip before the next sampled one; a fresh handle's
+    /// first attempt is sampled.
+    sample_skip: u32,
     policy: P,
 }
 
@@ -804,6 +814,7 @@ impl<P: Policy> Handle<P> {
             retry: RetryPolicy::default(),
             poisoned: false,
             tx_started: None,
+            sample_skip: 0,
             policy,
         }
     }
@@ -881,13 +892,18 @@ impl<P: Policy> Handle<P> {
         self.rt.epochs().enter(self.slot as usize);
         self.active = true;
         self.rec(Kind::TxBegin);
-        self.tx_started = if self.rt.telemetry.enabled() {
-            self.rt
-                .telemetry
-                .record_event(self.slot, EventKind::TxBegin);
-            Some(Instant::now())
-        } else {
+        self.tx_started = if self.sample_skip > 0 {
+            self.sample_skip -= 1;
             None
+        } else {
+            self.sample_skip = SAMPLE_EVERY - 1;
+            self.rt.telemetry.enabled().then(|| {
+                let t0 = Instant::now();
+                self.rt
+                    .telemetry
+                    .record_event_at(self.slot, t0, EventKind::TxBegin);
+                t0
+            })
         };
         let mut ctx = Self::ctx(&self.rt, &mut self.stats, self.slot);
         self.policy.begin(&mut ctx);
@@ -965,9 +981,9 @@ impl<P: Policy> Handle<P> {
                 // action in the history (Def A.1 clause 10).
                 self.rec(Kind::Committed);
                 if let Some(t0) = self.tx_started.take() {
-                    self.rt
-                        .telemetry
-                        .record_commit(self.slot, t0.elapsed().as_nanos() as u64);
+                    let now = Instant::now();
+                    let latency_ns = now.duration_since(t0).as_nanos() as u64;
+                    self.rt.telemetry.record_commit(self.slot, now, latency_ns);
                 }
                 self.rt.epochs().exit(self.slot as usize);
                 self.active = false;
@@ -994,20 +1010,22 @@ impl<P: Policy> Handle<P> {
         self.policy.rollback(&mut ctx);
         self.rec(Kind::Aborted);
         self.tx_started = None;
-        if self.rt.telemetry.enabled() {
-            self.rt
-                .telemetry
-                .record_event(self.slot, EventKind::TxAbort { cause });
-        }
+        // Aborts are never sampled away: one event per abort counter bump.
+        self.rt
+            .telemetry
+            .record_event(self.slot, EventKind::TxAbort { cause });
         self.rt.epochs().exit(self.slot as usize);
         self.active = false;
     }
 
     /// One exponential-backoff pause after the `attempt`-th consecutive
-    /// abort; time spent is charged to [`Stats::backoff_ns`]. Crate-visible
-    /// so the typed frontend's `atomically` loop (which drives
-    /// `try_atomic` itself to interleave blocking-retry sleeps) backs off
-    /// identically to [`StmHandle::atomic`].
+    /// abort — the abort-to-retry gap, how long this handle stays out of
+    /// the ring between finalizing an abort and re-entering `begin`. One
+    /// measurement, two sinks: [`Stats::backoff_ns`] and the abort-gap
+    /// latency histogram, so the counter is the histogram's sum.
+    /// Crate-visible so the typed frontend's `atomically` loop (which
+    /// drives `try_atomic` itself to interleave blocking-retry sleeps)
+    /// backs off identically to [`StmHandle::atomic`].
     pub(crate) fn backoff_pause(&mut self, attempt: u32) {
         let cfg = self.backoff;
         // Widen to u64 and saturate: BackoffCfg is an unvalidated public
@@ -1033,7 +1051,11 @@ impl<P: Policy> Handle<P> {
                 std::hint::spin_loop();
             }
         }
-        self.stats.backoff_ns += start.elapsed().as_nanos() as u64;
+        let gap_ns = start.elapsed().as_nanos() as u64;
+        self.stats.backoff_ns += gap_ns;
+        self.rt
+            .telemetry
+            .record_latency(self.slot, LatencyClass::AbortGap, gap_ns);
     }
 
     /// The graceful-degradation fallback of the `atomic` loop: the retry
@@ -1071,15 +1093,13 @@ impl<P: Policy> Handle<P> {
         }
         let guard = TokenGuard(Arc::clone(&self.rt), self.slot);
         self.stats.escalations += 1;
-        if self.rt.telemetry.enabled() {
-            self.rt.telemetry.record_event(
-                self.slot,
-                EventKind::Escalation {
-                    attempts: u64::from(attempts),
-                    deadline_expired,
-                },
-            );
-        }
+        self.rt.telemetry.record_event(
+            self.slot,
+            EventKind::Escalation {
+                attempts: u64::from(attempts),
+                deadline_expired,
+            },
+        );
         loop {
             // Drain: wait until every other slot is quiescent. Newcomers
             // are parked at the begin gate (checked before epoch entry), so
@@ -1275,18 +1295,7 @@ impl<P: Policy> StmHandle for Handle<P> {
                     if out_of_attempts || deadline_expired {
                         return self.run_escalated(&mut body, attempts, deadline_expired);
                     }
-                    // The abort-to-retry gap: how long this handle stays
-                    // out of the ring between finalizing an abort and
-                    // re-entering `begin` (here, the backoff pause).
-                    let gap_started = self.rt.telemetry.enabled().then(Instant::now);
                     self.backoff_pause(attempts - 1);
-                    if let Some(t0) = gap_started {
-                        self.rt.telemetry.record_latency(
-                            self.slot,
-                            LatencyClass::AbortGap,
-                            t0.elapsed().as_nanos() as u64,
-                        );
-                    }
                 }
             }
         }
@@ -1379,18 +1388,14 @@ impl<P: Policy> StmHandle for Handle<P> {
                     .recorder
                     .as_ref()
                     .map(|r| (Arc::clone(r), self.slot as usize));
-                let tel = if self.rt.telemetry.enabled() {
-                    self.rt.telemetry.record_event(
-                        self.slot,
-                        EventKind::FenceIssue {
-                            period: grace.period(),
-                        },
-                    );
-                    Some((Arc::clone(&self.rt.telemetry), self.slot))
-                } else {
-                    None
-                };
-                FenceTicket::issued(grace, rec, tel)
+                let tel_slot = self.rt.telemetry.enabled().then(|| {
+                    let issue = EventKind::FenceIssue {
+                        period: grace.period(),
+                    };
+                    self.rt.telemetry.record_event(self.slot, issue);
+                    self.slot
+                });
+                FenceTicket::issued(grace, rec, tel_slot)
             }
         }
     }
@@ -1399,7 +1404,7 @@ impl<P: Policy> StmHandle for Handle<P> {
         // One wait, two sinks: the [`Stats::fence_wait_ns`] counter and the
         // fence-wait latency histogram. With telemetry enabled the counter
         // is by construction the histogram's sum (asserted in tests).
-        let wait_ns = ticket.wait().as_nanos() as u64;
+        let wait_ns = ticket.wait_as(Some(self.slot)).as_nanos() as u64;
         self.stats.fence_wait_ns += wait_ns;
         self.rt
             .telemetry
@@ -1411,7 +1416,7 @@ impl<P: Policy> StmHandle for Handle<P> {
         ticket: &mut FenceTicket,
         timeout: Duration,
     ) -> Result<(), FenceTimeout> {
-        match ticket.wait_timeout(timeout) {
+        match ticket.wait_timeout_as(timeout, Some(self.slot)) {
             Ok(waited) => {
                 let wait_ns = waited.as_nanos() as u64;
                 self.stats.fence_wait_ns += wait_ns;

@@ -21,8 +21,8 @@
 //! claim checked on recorded histories holds for both backends (see the
 //! conformance suite and the `striped_conflicts` integration test).
 //!
-//! Non-transactional accesses ([`StmHandle::read_direct`] /
-//! [`StmHandle::write_direct`]) are single uninstrumented atomic accesses —
+//! Non-transactional accesses ([`read_direct`](crate::api::StmHandle::read_direct) /
+//! [`write_direct`](crate::api::StmHandle::write_direct)) are single uninstrumented atomic accesses —
 //! they do not touch versions or locks, exactly the setting the paper's DRF
 //! discipline governs. Without fences they reproduce the delayed-commit and
 //! doomed-transaction anomalies on real hardware (see `tests/` and the
@@ -34,7 +34,7 @@
 //! keeps the recorded-order argument simple. (Benchmark comparisons between
 //! fence policies are unaffected: all variants pay the same cost.)
 
-use crate::api::{Abort, StmHandle};
+use crate::api::Abort;
 use crate::clock::{AnyClock, AutoClock, AutoMode, ClockKind, VersionClock};
 use crate::runtime::{Handle, Policy, PolicyKind, Runtime, Stm, StmConfig, TxCtx};
 use crate::storage::{
@@ -118,7 +118,6 @@ impl PolicyKind for Tl2Kind {
             stripes: Vec::new(),
             shared_stripes: Vec::new(),
             pinned: None,
-            last_txn_wrote: false,
             wver_of_last_commit: 0,
             gov_ro: 0,
             gov_wr: 0,
@@ -276,9 +275,6 @@ pub struct Tl2Policy {
     /// against, re-pinned at begin whenever the generation probe moved.
     /// `None` under fixed storage (and before the first transaction).
     pinned: Option<(u64, Arc<TableGen>)>,
-    /// Did the last completed transaction write anything? Drives the buggy
-    /// read-only fence elision reproduced from [43].
-    last_txn_wrote: bool,
     /// Write timestamp of the last committed transaction (recorder key).
     wver_of_last_commit: u64,
     /// Governor fold state: read-only commits since the last fold. Plain
@@ -548,17 +544,14 @@ impl Tl2Policy {
             ctx.stats.clock_switches += 1;
             // Trace the decision WITH the fold that justified it, so the
             // flight recorder can answer "why did the clock switch?".
-            let tel = ctx.rt.telemetry();
-            if tel.enabled() {
-                tel.record_event(
-                    ctx.slot,
-                    EventKind::ClockSwitchRequest {
-                        to_gv5: want == AutoMode::Gv5,
-                        read_commits: total - writes,
-                        write_commits: writes,
-                    },
-                );
-            }
+            ctx.rt.telemetry().record_event(
+                ctx.slot,
+                EventKind::ClockSwitchRequest {
+                    to_gv5: want == AutoMode::Gv5,
+                    read_commits: total - writes,
+                    write_commits: writes,
+                },
+            );
         }
     }
 }
@@ -652,7 +645,6 @@ impl Policy for Tl2Policy {
             // Read-only: every read was already validated against `rv` at
             // read time (Fig 9 lines 17–23), so the snapshot is consistent;
             // classic TL2 skips the clock bump and lock phase entirely.
-            self.last_txn_wrote = false;
             self.note_window_commit(ctx);
             self.note_governor_commit(ctx, false);
             return Ok(());
@@ -678,8 +670,6 @@ impl Policy for Tl2Policy {
             }
         }
         self.stripes.dedup();
-        // Abort paths need no `last_txn_wrote` update here: the runtime
-        // calls `rollback` on every abort, which performs it.
         for (taken, &gs) in self.stripes.iter().enumerate() {
             // A forced abort here is indistinguishable from losing the
             // trylock race below: release what we took, walk the same path.
@@ -768,17 +758,13 @@ impl Policy for Tl2Policy {
         // epilogue below re-borrows `self` mutably.
         locks.armed = false;
         drop(locks);
-        // The read-only case early-returned above, so this commit wrote.
-        self.last_txn_wrote = true;
         self.wver_of_last_commit = wver;
         self.note_window_commit(ctx);
         self.note_governor_commit(ctx, true);
         Ok(())
     }
 
-    fn rollback(&mut self, _ctx: &mut TxCtx<'_>) {
-        self.last_txn_wrote = !self.wset.is_empty();
-    }
+    fn rollback(&mut self, _ctx: &mut TxCtx<'_>) {}
 }
 
 impl Handle<Tl2Policy> {
@@ -786,21 +772,12 @@ impl Handle<Tl2Policy> {
     pub fn last_commit_wver(&self) -> u64 {
         self.policy().last_commit_wver()
     }
-
-    /// The *buggy* fence: skipped entirely if this thread's last transaction
-    /// was read-only — the GCC libitm bug class (\[43\], paper Sec 1). Exposed
-    /// so tests and examples can demonstrate the violation on real hardware.
-    pub fn fence_elide_after_read_only(&mut self) {
-        if self.policy().last_txn_wrote {
-            self.fence();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::Stats;
+    use crate::api::{Stats, StmHandle};
     use crate::clock::ClockKind;
 
     /// Run every TL2 unit scenario against all storage backends (fixed

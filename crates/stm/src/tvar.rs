@@ -543,17 +543,16 @@ impl<K: PolicyKind> TypedHandle<K> {
         let woke_reg = waiter.sleep();
         rt.deregister_retry_waiter(waiter);
         if let Some(t0) = t0 {
-            let slept_ns = t0.elapsed().as_nanos() as u64;
+            let woke = Instant::now();
+            let slept_ns = woke.duration_since(t0).as_nanos() as u64;
             let slot = self.h.slot() as u16;
             rt.telemetry()
                 .record_latency(slot, LatencyClass::RetrySleep, slept_ns);
-            rt.telemetry().record_event(
-                slot,
-                EventKind::RetryWake {
-                    reg: woke_reg as u64,
-                    slept_ns,
-                },
-            );
+            let wake = EventKind::RetryWake {
+                reg: woke_reg as u64,
+                slept_ns,
+            };
+            rt.telemetry().record_event_at(slot, woke, wake);
         }
     }
 }

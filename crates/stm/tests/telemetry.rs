@@ -8,7 +8,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tm_stm::prelude::*;
 use tm_stm::runtime::DriverMode;
-use tm_stm::tl2::GOVERNOR_WINDOW;
+use tm_stm::telemetry::SAMPLE_EVERY;
+use tm_stm::tl2::{Tl2Kind, GOVERNOR_WINDOW};
 
 /// The tentpole promise of the flight recorder: a governor decision is
 /// recorded *with the counters that justified it*. One write-heavy fold
@@ -135,13 +136,25 @@ fn fence_wait_counter_equals_histogram_sum() {
         .any(|e| matches!(e.kind, EventKind::GraceScan { .. })));
 }
 
-/// Commits, aborts (with cause), and retry gaps all land in the snapshot:
-/// the commit histogram counts exactly the committed transactions, a
-/// body-requested abort is traced as `user`, and a failed-validation retry
-/// records an abort-gap sample.
+/// How many of `snap`'s events satisfy `pred`.
+fn count_events(snap: &TelemetrySnapshot, pred: impl Fn(&TraceEvent) -> bool) -> u64 {
+    snap.events.iter().filter(|e| pred(e)).count() as u64
+}
+
+/// Sampled commits, every abort (with cause), and retry gaps all land in
+/// the snapshot: the commit histogram holds one sample per `SAMPLE_EVERY`
+/// attempts of a handle starting with its first (exact counts stay in
+/// `Stats`), a body-requested abort is traced as `user` although its
+/// attempt was not a sampled one, and a failed-validation retry records an
+/// abort-gap sample.
 #[test]
 fn commit_abort_and_retry_telemetry_lands_in_the_snapshot() {
-    let stm = Tl2Stm::with_config(StmConfig::new(8, 2).trace(TraceConfig::with_capacity(1024)));
+    // chaos_off: exact attempt counts, which a forced abort would shift.
+    let stm = Tl2Stm::with_config(
+        StmConfig::new(8, 2)
+            .chaos_off()
+            .trace(TraceConfig::with_capacity(1024)),
+    );
     let mut h = stm.handle(0);
     for i in 0..10u64 {
         h.atomic(|tx| tx.write(0, i));
@@ -151,21 +164,24 @@ fn commit_abort_and_retry_telemetry_lands_in_the_snapshot() {
         Err::<(), Abort>(Abort)
     });
     let snap = stm.telemetry_snapshot();
-    assert_eq!(snap.hists.commit.count(), h.stats().commits);
+    assert_eq!(h.stats().commits, 10, "Stats counts every commit");
+    assert_eq!(snap.sample_every, SAMPLE_EVERY);
+    assert_eq!(
+        snap.hists.commit.count(),
+        1,
+        "11 attempts < SAMPLE_EVERY: only the handle's first was timed"
+    );
     assert!(snap.hists.commit.quantiles().p999 >= snap.hists.commit.quantiles().p50);
-    let user_aborts = snap
-        .events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.kind,
-                EventKind::TxAbort {
-                    cause: AbortCause::User
-                }
-            )
-        })
-        .count();
-    assert_eq!(user_aborts as u64, h.stats().aborts_user);
+    let user_aborts = count_events(&snap, |e| {
+        matches!(
+            e.kind,
+            EventKind::TxAbort {
+                cause: AbortCause::User
+            }
+        )
+    });
+    assert_eq!(user_aborts, h.stats().aborts_user);
+    assert_eq!(user_aborts, 1);
     // Force exactly one validation abort: handle `b` commits a conflicting
     // write between `a`'s read and `a`'s commit (first attempt only), so
     // `a` retries once and the retry loop records one abort-gap sample.
@@ -187,6 +203,11 @@ fn commit_abort_and_retry_telemetry_lands_in_the_snapshot() {
         1,
         "one abort-gap sample per retry-loop pass"
     );
+    assert_eq!(
+        snap.hists.commit.count(),
+        2,
+        "`a`'s first attempt was sampled but aborted; `b`'s committed"
+    );
     assert!(snap.events.iter().any(|e| {
         e.slot == 0
             && matches!(
@@ -198,9 +219,112 @@ fn commit_abort_and_retry_telemetry_lands_in_the_snapshot() {
     }));
 }
 
+/// Sampling is exact and deterministic: a handle times its attempts
+/// number 0, `SAMPLE_EVERY`, `2 * SAMPLE_EVERY`, ... and nothing else, so
+/// after `k * SAMPLE_EVERY` commits the commit histogram holds exactly `k`
+/// samples and the ring exactly `k` `TxBegin`/`TxCommit` pairs — while
+/// every abort, sampled attempt or not, is still traced one-for-one with
+/// the `Stats` abort counters.
+#[test]
+fn sampling_is_exact_and_deterministic() {
+    const K: u64 = 3;
+    // chaos_off: exact attempt counts, which a forced abort would shift.
+    let stm = Tl2Stm::with_config(
+        StmConfig::new(4, 1)
+            .chaos_off()
+            .trace(TraceConfig::with_capacity(1024)),
+    );
+    let mut h = stm.handle(0);
+    for i in 0..K * u64::from(SAMPLE_EVERY) {
+        h.atomic(|tx| tx.write(0, i));
+    }
+    let snap = stm.telemetry_snapshot();
+    assert_eq!(snap.sample_every, SAMPLE_EVERY);
+    assert_eq!(h.stats().commits, K * u64::from(SAMPLE_EVERY));
+    assert_eq!(snap.hists.commit.count(), K);
+    let begins = |s: &TelemetrySnapshot| count_events(s, |e| e.kind == EventKind::TxBegin);
+    let commits =
+        |s: &TelemetrySnapshot| count_events(s, |e| matches!(e.kind, EventKind::TxCommit { .. }));
+    assert_eq!((begins(&snap), commits(&snap)), (K, K));
+    assert_eq!(snap.events.len() as u64, 2 * K, "and nothing else");
+    assert_eq!(snap.dropped, 0);
+    // Seven user aborts: the first is attempt number `K * SAMPLE_EVERY`, a
+    // sampled one (TxBegin, no TxCommit); the other six are not.
+    for _ in 0..7 {
+        let _ = h.try_atomic(|tx| {
+            tx.read(0)?;
+            Err::<(), Abort>(Abort)
+        });
+    }
+    let snap = stm.telemetry_snapshot();
+    assert_eq!(h.stats().aborts_user, 7);
+    let aborts = count_events(&snap, |e| {
+        matches!(
+            e.kind,
+            EventKind::TxAbort {
+                cause: AbortCause::User
+            }
+        )
+    });
+    assert_eq!(aborts, 7, "aborts are never sampled away");
+    assert_eq!((begins(&snap), commits(&snap)), (K + 1, K));
+    assert_eq!(snap.hists.commit.count(), K);
+}
+
+/// `Stats::backoff_ns` is the abort-gap histogram's sum — `backoff_pause`
+/// feeds one measurement to both sinks — for the shared `atomic` loop and
+/// for the typed `atomically` loop alike (twin of
+/// `fence_wait_counter_equals_histogram_sum`).
+#[test]
+fn backoff_counter_equals_abort_gap_histogram_sum() {
+    // chaos_off: exact retry counts, which a forced abort would shift.
+    let typed = TypedStm::<Tl2Kind>::with_config(
+        StmConfig::new(4, 2)
+            .chaos_off()
+            .trace(TraceConfig::with_capacity(64)),
+    );
+    let var = typed.new_tvar(0u64);
+    let mut h = typed.handle(0);
+    // Three conflicts, then success: three backoff pauses in `atomically`.
+    let mut conflicts = 3;
+    h.atomically(|tx| {
+        let v = tx.read(&var)?;
+        if conflicts > 0 {
+            conflicts -= 1;
+            return Err(StmError::Conflict);
+        }
+        tx.write(&var, v + 1)
+    });
+    let typed_stats = h.inner().stats();
+    assert_eq!(typed_stats.retries, 3);
+    let snap = typed.stm().telemetry_snapshot();
+    assert_eq!(snap.hists.abort_gap.count(), 3, "one sample per pause");
+    assert_eq!(snap.hists.abort_gap.sum(), typed_stats.backoff_ns);
+    assert!(typed_stats.backoff_ns > 0);
+    // Two more through the untyped `atomic` loop, on the other slot.
+    let mut raw = typed.stm().handle(1);
+    let mut aborts = 2;
+    raw.atomic(|tx| {
+        tx.read(0)?;
+        if aborts > 0 {
+            aborts -= 1;
+            return Err(Abort);
+        }
+        Ok(())
+    });
+    let snap = typed.stm().telemetry_snapshot();
+    assert_eq!(snap.hists.abort_gap.count(), 5);
+    assert_eq!(
+        snap.hists.abort_gap.sum(),
+        typed_stats.backoff_ns + raw.stats().backoff_ns,
+        "the Stats counters must be exactly the histogram's sum"
+    );
+}
+
 /// Satellite (c): structural validation of the snapshot JSON under both
 /// driver modes — balanced objects/arrays/strings/numbers, the
-/// `bench_telemetry/v1` schema stamp, and the driver block.
+/// `bench_telemetry/v2` schema stamp, the sampling rate, and the driver
+/// block.
 #[test]
 fn snapshot_json_is_structurally_valid_in_both_driver_modes() {
     for mode in DriverMode::ALL {
@@ -218,8 +342,12 @@ fn snapshot_json_is_structurally_valid_in_both_driver_modes() {
         let json = snap.to_json();
         assert_valid_json(&json);
         assert!(
-            json.contains("\"schema\": \"bench_telemetry/v1\""),
+            json.contains("\"schema\": \"bench_telemetry/v2\""),
             "schema stamp missing:\n{json}"
+        );
+        assert!(
+            json.contains(&format!("\"sample_every\": {SAMPLE_EVERY}")),
+            "sampling rate missing:\n{json}"
         );
         assert!(
             json.contains(&format!("\"mode\": \"{}\"", mode.label())),
@@ -294,25 +422,129 @@ fn export_hook_fires_on_the_driver_tick() {
 /// `dropped`, never grows memory.
 #[test]
 fn ring_capacity_bounds_the_flight_recorder() {
-    let stm = Tl2Stm::with_config(StmConfig::new(4, 1).trace(TraceConfig::with_capacity(4)));
+    // chaos_off: exact event counts, which a forced abort would shift.
+    let stm = Tl2Stm::with_config(
+        StmConfig::new(4, 1)
+            .chaos_off()
+            .trace(TraceConfig::with_capacity(4)),
+    );
     let mut h = stm.handle(0);
-    for i in 0..32u64 {
+    let sampled = 16u64;
+    for i in 0..sampled * u64::from(SAMPLE_EVERY) {
         h.atomic(|tx| tx.write(0, i));
     }
     let snap = stm.telemetry_snapshot();
     assert!(snap.enabled);
     assert_eq!(snap.capacity, 4);
-    // 32 commits × (TxBegin + TxCommit) = 64 events pushed at slot 0; only
-    // the newest `capacity` survive.
+    // 16 sampled commits × (TxBegin + TxCommit) = 32 events pushed at slot
+    // 0; only the newest `capacity` survive.
     let slot0 = snap.events.iter().filter(|e| e.slot == 0).count();
     assert_eq!(slot0, 4);
-    assert_eq!(snap.dropped, 60);
+    assert_eq!(snap.dropped, 2 * sampled - 4);
+    assert_eq!(snap.hists.commit.count(), sampled, "histograms never drop");
     // The survivors are the *newest* events (ring overwrites oldest): the
-    // final commit of the loop must still be there.
-    assert!(snap
-        .events
-        .iter()
-        .any(|e| matches!(e.kind, EventKind::TxCommit { .. })));
+    // last sampled commit of the loop must still be there.
+    assert!(matches!(
+        snap.events.last().map(|e| e.kind),
+        Some(EventKind::TxCommit { .. })
+    ));
+}
+
+/// Snapshots never block a transaction and never tear: two handles commit
+/// and fence in a loop while a third thread spins on
+/// `telemetry_snapshot()`. The run completes; every event a snapshot
+/// returns is one a handle recorded (valid kind and payload), each slot's
+/// events are in recording order, and `dropped` never decreases.
+#[test]
+fn concurrent_snapshots_never_block_and_never_tear() {
+    const ROUNDS: u64 = 4_000;
+    let stm = Tl2Stm::with_config(StmConfig::new(8, 2).trace(TraceConfig::with_capacity(16)));
+    let done = AtomicU64::new(0);
+    let start = std::sync::Barrier::new(3);
+    std::thread::scope(|s| {
+        for slot in 0..2 {
+            let mut h = stm.handle(slot);
+            let (done, start) = (&done, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..ROUNDS {
+                    h.atomic(|tx| tx.write(slot, i));
+                    if i % 8 == 0 {
+                        h.fence();
+                    }
+                }
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        start.wait();
+        let mut last_dropped = 0;
+        let mut snapshots = 0u64;
+        while done.load(Ordering::SeqCst) < 2 {
+            let snap = stm.telemetry_snapshot();
+            snapshots += 1;
+            assert!(snap.dropped >= last_dropped, "dropped went backwards");
+            last_dropped = snap.dropped;
+            let mut last_period = [0u64; 2];
+            for e in &snap.events {
+                match e.kind {
+                    EventKind::TxBegin | EventKind::TxAbort { .. } => {}
+                    EventKind::TxCommit { latency_ns } => {
+                        assert!(latency_ns < 60_000_000_000, "torn latency: {e:?}")
+                    }
+                    EventKind::FenceIssue { period } | EventKind::FenceRetire { period } => {
+                        // Periods only grow, and a slot issues and retires
+                        // them in order: a torn or stale entry would not.
+                        let slot = usize::from(e.slot);
+                        assert!(period >= last_period[slot], "out of order: {e:?}");
+                        assert!(period <= 2 * ROUNDS, "torn period: {e:?}");
+                        last_period[slot] = period;
+                    }
+                    EventKind::GraceScan { period, .. } => {
+                        assert!(period <= 2 * ROUNDS, "torn period: {e:?}")
+                    }
+                    other => panic!("an event nobody recorded: {other:?}"),
+                }
+            }
+            assert!(
+                snap.events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns),
+                "events are timestamp-sorted"
+            );
+        }
+        assert!(snapshots > 0);
+    });
+    let snap = stm.telemetry_snapshot();
+    let fences = 2 * ROUNDS.div_ceil(8);
+    assert_eq!(snap.hists.fence_wait.count(), fences, "quiescent: exact");
+}
+
+/// The engine cell takes writes from any thread: with two threads driving
+/// grace periods, every completed scan is in the histogram and the ring.
+#[test]
+fn grace_scans_from_two_threads_are_all_recorded() {
+    let stm = Tl2Stm::with_config(StmConfig::new(2, 2).trace(TraceConfig::with_capacity(4096)));
+    std::thread::scope(|s| {
+        for slot in 0..2 {
+            let mut h = stm.handle(slot);
+            s.spawn(move || {
+                for i in 0..500 {
+                    h.atomic(|tx| tx.write(slot, i));
+                    h.fence();
+                }
+            });
+        }
+    });
+    let scans = stm.runtime().grace().scans();
+    assert!(
+        scans >= 500,
+        "fences may share scans, not skip them: {scans}"
+    );
+    let snap = stm.telemetry_snapshot();
+    assert_eq!(snap.hists.grace.count(), scans);
+    assert_eq!(
+        count_events(&snap, |e| matches!(e.kind, EventKind::GraceScan { .. })),
+        scans
+    );
+    assert_eq!(snap.dropped, 0);
 }
 
 /// The disabled-path cost contract (the telemetry twin of

@@ -25,21 +25,24 @@
 //!   [`TraceEvent`]s: transaction begin/commit/abort-with-cause, fence
 //!   issue/retire, grace scans, and every governor decision (clock switch
 //!   request/settle, stripe publish/retire), each carrying the counters
-//!   that justified it ([`EventKind`]).
-//! * [`Telemetry`] — the per-instance container: one mutex-guarded
-//!   [`SlotTelemetry`] cell per thread slot (plus one *engine* slot for
-//!   events raised off-transaction: grace scans, handoff settles,
-//!   generation retirements), an [`Instant`] epoch for timestamps, and a
-//!   single `enabled` flag. **Disabled cost is one relaxed load per event
-//!   site** — no lock, no clock sample, no allocation; the runtime's
-//!   steady-state test pins this. Enabled cost per event is one
-//!   uncontended lock of the caller's own padded cell (the same per-slot
-//!   pattern as the history recorder) plus plain-array arithmetic — the
-//!   histograms and rings themselves contain no atomics.
-//! * [`TelemetrySnapshot`] — merges histograms and rings across every slot
-//!   into one coherent view, rendered as hand-rolled JSON
-//!   ([`TelemetrySnapshot::to_json`], schema `bench_telemetry/v1`, same
-//!   style as the `BENCH_*.json` artifacts).
+//!   that justified it ([`EventKind`]). The engine's ring is one of these;
+//!   thread slots keep the same events word-encoded in a lock-free cell.
+//! * [`Telemetry`] — the per-instance container: one cache-padded,
+//!   *single-writer* cell per thread slot (plain relaxed `load` + `store`
+//!   words — no lock, no RMW — written only by the handle that owns the
+//!   slot), one mutex-guarded *engine* cell for events raised
+//!   off-transaction or by a thread that does not own the slot they are
+//!   about (grace scans, handoff settles, generation retirements, fence
+//!   retirements run from a completion callback), an [`Instant`] epoch for
+//!   timestamps, and a single `enabled` flag. **Disabled cost is one
+//!   relaxed load per event site** — no clock sample, no allocation; the
+//!   runtime's steady-state test pins this. Enabled, a steady-state
+//!   transaction costs nothing either: the runtime times one attempt in
+//!   [`SAMPLE_EVERY`] and the others touch no clock and no telemetry word.
+//! * [`TelemetrySnapshot`] — merges histograms and rings across every cell
+//!   into one coherent view without ever blocking a writer, rendered as
+//!   hand-rolled JSON ([`TelemetrySnapshot::to_json`], schema
+//!   `bench_telemetry/v2`, same style as the `BENCH_*.json` artifacts).
 //!
 //! Capacity is selected at construction via [`TraceConfig`]; the runtime
 //! reads the `TM_STM_TRACE` environment knob once
@@ -49,9 +52,18 @@
 #![warn(missing_docs)]
 
 use crossbeam::utils::CachePadded;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// The runtime times one transaction attempt in this many (per handle,
+/// starting with the handle's first): that attempt records `TxBegin`, a
+/// commit-latency sample and `TxCommit`; the others touch no clock and no
+/// telemetry word. Exact counts live in the handle-local `Stats`; scale
+/// the commit histogram's count by this to estimate them. Aborts, fences,
+/// escalations, retry wakes, governor decisions, grace scans and stall
+/// reports are rare or already clocked, and are never sampled away.
+pub const SAMPLE_EVERY: u32 = 64;
 
 /// Number of power-of-two latency buckets: bucket `i` holds samples whose
 /// nanosecond value has its highest set bit at position `i` (bucket 0 also
@@ -177,9 +189,13 @@ impl LatencyHistogram {
 /// The five latency distributions the runtime tracks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LatencyClass {
-    /// Transaction begin → successful commit, per attempt that committed.
+    /// Transaction begin → successful commit, per *sampled* attempt that
+    /// committed (one attempt in [`SAMPLE_EVERY`]).
     Commit,
-    /// Abort → next retry of the same `atomic` call (the backoff gap).
+    /// Abort → next retry of the same `atomic`/`atomically` call: one
+    /// sample per backoff pause taken, from the measurement that feeds
+    /// `Stats::backoff_ns` — so the sum of this distribution equals that
+    /// counter.
     AbortGap,
     /// Time blocked in `fence`/`fence_join` — including bounded waits that
     /// timed out. When telemetry is enabled, the sum of this distribution
@@ -223,9 +239,10 @@ impl LatencyClass {
 /// breaks the build, the same guard `Stats` uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LatencyHistograms {
-    /// Begin → commit latency of committed attempts.
+    /// Begin → commit latency of sampled committed attempts.
     pub commit: LatencyHistogram,
-    /// Abort → retry gap of the shared `atomic` loop.
+    /// Abort → retry gap of the retry loops (`Stats::backoff_ns`'s
+    /// distribution).
     pub abort_gap: LatencyHistogram,
     /// Blocked fence-wait time (`Stats::fence_wait_ns`'s distribution).
     pub fence_wait: LatencyHistogram,
@@ -428,16 +445,19 @@ impl AbortCause {
         }
     }
 
-    /// Stable numeric encoding (JSON field value).
+    /// Every cause, in [`Self::code`] order.
+    const ALL: [AbortCause; 6] = [
+        AbortCause::Read,
+        AbortCause::Write,
+        AbortCause::Lock,
+        AbortCause::Validate,
+        AbortCause::User,
+        AbortCause::Panic,
+    ];
+
+    /// Stable numeric encoding (JSON field value, ring payload word).
     fn code(self) -> u64 {
-        match self {
-            AbortCause::Read => 0,
-            AbortCause::Write => 1,
-            AbortCause::Lock => 2,
-            AbortCause::Validate => 3,
-            AbortCause::User => 4,
-            AbortCause::Panic => 5,
-        }
+        self as u64
     }
 }
 
@@ -549,84 +569,164 @@ pub enum EventKind {
     },
 }
 
+/// Report key and payload field names of every [`EventKind`], indexed by
+/// [`EventKind::code`].
+const KINDS: [(&str, &[&str]); 13] = [
+    ("tx-begin", &[]),
+    ("tx-commit", &["latency_ns"]),
+    ("tx-abort", &["cause"]),
+    ("fence-issue", &["period"]),
+    ("fence-retire", &["period"]),
+    ("grace-scan", &["period", "duration_ns"]),
+    (
+        "clock-switch-request",
+        &["to_gv5", "read_commits", "write_commits"],
+    ),
+    ("clock-switch-settle", &["to_gv5"]),
+    (
+        "stripe-publish",
+        &[
+            "grow",
+            "from_stripes",
+            "to_stripes",
+            "false_conflicts",
+            "window",
+        ],
+    ),
+    ("stripe-retire", &["stripes"]),
+    ("escalation", &["attempts", "deadline_expired"]),
+    ("retry-wake", &["reg", "slept_ns"]),
+    ("stall-report", &["stalled_slot", "pinned_ns", "period"]),
+];
+
+/// Payload words of the widest [`EventKind`] (`StripePublish`).
+const MAX_PAYLOAD_WORDS: usize = 5;
+
 impl EventKind {
-    /// Report key for the event kind.
-    pub fn label(&self) -> &'static str {
+    /// Stable numeric code of the kind: its index in [`KINDS`], and the
+    /// kind word of a thread-slot ring entry.
+    fn code(&self) -> usize {
         match self {
-            EventKind::TxBegin => "tx-begin",
-            EventKind::TxCommit { .. } => "tx-commit",
-            EventKind::TxAbort { .. } => "tx-abort",
-            EventKind::FenceIssue { .. } => "fence-issue",
-            EventKind::FenceRetire { .. } => "fence-retire",
-            EventKind::GraceScan { .. } => "grace-scan",
-            EventKind::ClockSwitchRequest { .. } => "clock-switch-request",
-            EventKind::ClockSwitchSettle { .. } => "clock-switch-settle",
-            EventKind::StripePublish { .. } => "stripe-publish",
-            EventKind::StripeRetire { .. } => "stripe-retire",
-            EventKind::Escalation { .. } => "escalation",
-            EventKind::RetryWake { .. } => "retry-wake",
-            EventKind::StallReport { .. } => "stall-report",
+            EventKind::TxBegin => 0,
+            EventKind::TxCommit { .. } => 1,
+            EventKind::TxAbort { .. } => 2,
+            EventKind::FenceIssue { .. } => 3,
+            EventKind::FenceRetire { .. } => 4,
+            EventKind::GraceScan { .. } => 5,
+            EventKind::ClockSwitchRequest { .. } => 6,
+            EventKind::ClockSwitchSettle { .. } => 7,
+            EventKind::StripePublish { .. } => 8,
+            EventKind::StripeRetire { .. } => 9,
+            EventKind::Escalation { .. } => 10,
+            EventKind::RetryWake { .. } => 11,
+            EventKind::StallReport { .. } => 12,
         }
     }
 
-    /// The event's payload as `(name, value)` pairs, in declaration order —
-    /// what the JSON renderer and the human report both consume. Booleans
+    /// The payload as words, in declaration order, zero-padded. Booleans
     /// encode as 0/1, [`AbortCause`] as its stable code.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
+    fn words(&self) -> [u64; MAX_PAYLOAD_WORDS] {
         match *self {
-            EventKind::TxBegin => vec![],
-            EventKind::TxCommit { latency_ns } => vec![("latency_ns", latency_ns)],
-            EventKind::TxAbort { cause } => vec![("cause", cause.code())],
-            EventKind::FenceIssue { period } => vec![("period", period)],
-            EventKind::FenceRetire { period } => vec![("period", period)],
+            EventKind::TxBegin => [0; 5],
+            EventKind::TxCommit { latency_ns } => [latency_ns, 0, 0, 0, 0],
+            EventKind::TxAbort { cause } => [cause.code(), 0, 0, 0, 0],
+            EventKind::FenceIssue { period } | EventKind::FenceRetire { period } => {
+                [period, 0, 0, 0, 0]
+            }
             EventKind::GraceScan {
                 period,
                 duration_ns,
-            } => vec![("period", period), ("duration_ns", duration_ns)],
+            } => [period, duration_ns, 0, 0, 0],
             EventKind::ClockSwitchRequest {
                 to_gv5,
                 read_commits,
                 write_commits,
-            } => vec![
-                ("to_gv5", u64::from(to_gv5)),
-                ("read_commits", read_commits),
-                ("write_commits", write_commits),
-            ],
-            EventKind::ClockSwitchSettle { to_gv5 } => vec![("to_gv5", u64::from(to_gv5))],
+            } => [u64::from(to_gv5), read_commits, write_commits, 0, 0],
+            EventKind::ClockSwitchSettle { to_gv5 } => [u64::from(to_gv5), 0, 0, 0, 0],
             EventKind::StripePublish {
                 grow,
                 from_stripes,
                 to_stripes,
                 false_conflicts,
                 window,
-            } => vec![
-                ("grow", u64::from(grow)),
-                ("from_stripes", from_stripes),
-                ("to_stripes", to_stripes),
-                ("false_conflicts", false_conflicts),
-                ("window", window),
+            } => [
+                u64::from(grow),
+                from_stripes,
+                to_stripes,
+                false_conflicts,
+                window,
             ],
-            EventKind::StripeRetire { stripes } => vec![("stripes", stripes)],
+            EventKind::StripeRetire { stripes } => [stripes, 0, 0, 0, 0],
             EventKind::Escalation {
                 attempts,
                 deadline_expired,
-            } => vec![
-                ("attempts", attempts),
-                ("deadline_expired", u64::from(deadline_expired)),
-            ],
-            EventKind::RetryWake { reg, slept_ns } => {
-                vec![("reg", reg), ("slept_ns", slept_ns)]
-            }
+            } => [attempts, u64::from(deadline_expired), 0, 0, 0],
+            EventKind::RetryWake { reg, slept_ns } => [reg, slept_ns, 0, 0, 0],
             EventKind::StallReport {
                 stalled_slot,
                 pinned_ns,
                 period,
-            } => vec![
-                ("stalled_slot", stalled_slot),
-                ("pinned_ns", pinned_ns),
-                ("period", period),
-            ],
+            } => [stalled_slot, pinned_ns, period, 0, 0],
         }
+    }
+
+    /// Inverse of [`Self::code`] + [`Self::words`]; `None` for words no
+    /// event encodes to (a torn ring entry).
+    fn decode(code: u64, w: [u64; MAX_PAYLOAD_WORDS]) -> Option<EventKind> {
+        Some(match code {
+            0 => EventKind::TxBegin,
+            1 => EventKind::TxCommit { latency_ns: w[0] },
+            2 => EventKind::TxAbort {
+                cause: *AbortCause::ALL.get(usize::try_from(w[0]).ok()?)?,
+            },
+            3 => EventKind::FenceIssue { period: w[0] },
+            4 => EventKind::FenceRetire { period: w[0] },
+            5 => EventKind::GraceScan {
+                period: w[0],
+                duration_ns: w[1],
+            },
+            6 => EventKind::ClockSwitchRequest {
+                to_gv5: w[0] != 0,
+                read_commits: w[1],
+                write_commits: w[2],
+            },
+            7 => EventKind::ClockSwitchSettle { to_gv5: w[0] != 0 },
+            8 => EventKind::StripePublish {
+                grow: w[0] != 0,
+                from_stripes: w[1],
+                to_stripes: w[2],
+                false_conflicts: w[3],
+                window: w[4],
+            },
+            9 => EventKind::StripeRetire { stripes: w[0] },
+            10 => EventKind::Escalation {
+                attempts: w[0],
+                deadline_expired: w[1] != 0,
+            },
+            11 => EventKind::RetryWake {
+                reg: w[0],
+                slept_ns: w[1],
+            },
+            12 => EventKind::StallReport {
+                stalled_slot: w[0],
+                pinned_ns: w[1],
+                period: w[2],
+            },
+            _ => return None,
+        })
+    }
+
+    /// Report key for the event kind.
+    pub fn label(&self) -> &'static str {
+        KINDS[self.code()].0
+    }
+
+    /// The event's payload as `(name, value)` pairs, in declaration order —
+    /// what the JSON renderer and the human report both consume. Booleans
+    /// encode as 0/1, [`AbortCause`] as its stable code.
+    pub fn fields(&self) -> Vec<(&'static str, u64)> {
+        let names = KINDS[self.code()].1;
+        names.iter().copied().zip(self.words()).collect()
     }
 
     /// Is this one of the contention governor's decisions (clock switches,
@@ -655,9 +755,10 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// A fixed-capacity, overwrite-oldest ring of [`TraceEvent`]s — the
-/// per-slot flight recorder. Plain data, no atomics; concurrency control
-/// is the owning [`Telemetry`]'s per-slot cell.
+/// A fixed-capacity, overwrite-oldest ring of [`TraceEvent`]s — the engine
+/// cell's flight recorder (thread slots keep theirs word-encoded in a
+/// lock-free cell with the same overwrite rule). Plain data, no atomics;
+/// concurrency control is the owning [`Telemetry`]'s engine mutex.
 #[derive(Clone, Debug, Default)]
 pub struct TraceRing {
     buf: Vec<TraceEvent>,
@@ -726,15 +827,142 @@ impl TraceRing {
     }
 }
 
-/// Per-slot telemetry cell: this slot's histograms and flight-recorder
-/// ring. Plain data — the owning [`Telemetry`] wraps each cell in its own
-/// padded mutex.
-#[derive(Clone, Debug, Default)]
-pub struct SlotTelemetry {
-    /// The slot's latency distributions.
-    pub hists: LatencyHistograms,
-    /// The slot's flight recorder.
-    pub ring: TraceRing,
+/// The engine cell: histograms and flight recorder shared by every thread
+/// that records off-transaction, behind the owning [`Telemetry`]'s mutex.
+struct EngineCell {
+    hists: LatencyHistograms,
+    ring: TraceRing,
+}
+
+/// Payload words a thread-slot ring entry holds; wider events (only
+/// `StripePublish`, which is raised off-transaction anyway) go to the
+/// engine cell.
+const SLOT_PAYLOAD_WORDS: usize = 3;
+/// Words per thread-slot ring entry: timestamp, kind code, payload.
+const ENTRY_WORDS: usize = 2 + SLOT_PAYLOAD_WORDS;
+/// Words per histogram in a thread-slot cell: the buckets, then the sum
+/// (the count is the buckets' total, so a snapshot's count and quantiles
+/// always agree).
+const HIST_WORDS: usize = HIST_BUCKETS + 1;
+
+/// A thread slot's cell: histograms and a flight-recorder ring of
+/// word-encoded events, written only by the handle that owns the slot.
+///
+/// Every write is a relaxed `load` + `store` pair on a plain word — no RMW,
+/// no lock — which is exact for one writer. (One live user per slot is what
+/// the epoch table and the lock-owner encoding already assume; two would
+/// lose counts here, never memory safety.) A reader never blocks the
+/// writer: it copies the ring between two reads of the sequence words and
+/// discards what the writer may have overwritten meanwhile.
+struct SlotCell {
+    /// One histogram of [`HIST_WORDS`] words per [`LatencyClass`].
+    hists: Box<[AtomicU64]>,
+    /// `capacity` entries of [`ENTRY_WORDS`] words; event number `n` lives
+    /// in entry `n % capacity`.
+    ring: Box<[AtomicU64]>,
+    /// Events the owner has begun writing (stored before the entry's words).
+    claimed: AtomicU64,
+    /// Events fully written (stored, `Release`, after the entry's words).
+    published: AtomicU64,
+}
+
+fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
+    (0..n).map(|_| AtomicU64::new(0)).collect()
+}
+
+/// `*w += by` for the single writer of `w`.
+#[inline]
+fn bump(w: &AtomicU64, by: u64) {
+    w.store(
+        w.load(Ordering::Relaxed).saturating_add(by),
+        Ordering::Relaxed,
+    );
+}
+
+impl SlotCell {
+    fn new(capacity: usize) -> Self {
+        SlotCell {
+            hists: zeroed_words(LatencyClass::ALL.len() * HIST_WORDS),
+            ring: zeroed_words(capacity * ENTRY_WORDS),
+            claimed: AtomicU64::new(0),
+            published: AtomicU64::new(0),
+        }
+    }
+
+    #[inline]
+    fn record_latency(&self, class: LatencyClass, ns: u64) {
+        let hist = &self.hists[class as usize * HIST_WORDS..][..HIST_WORDS];
+        bump(&hist[LatencyHistogram::bucket_index(ns)], 1);
+        bump(&hist[HIST_BUCKETS], ns);
+    }
+
+    /// Append an event, overwriting the oldest once full. Only called with
+    /// telemetry enabled, i.e. with a capacity above 0.
+    #[inline]
+    fn push(&self, at_ns: u64, kind: EventKind) {
+        let seq = self.published.load(Ordering::Relaxed);
+        self.claimed.store(seq + 1, Ordering::Relaxed);
+        // Pairs with the reader's `Acquire` fence: a reader that sees any
+        // word written below also sees the claim above, and discards the
+        // entry those words overwrite.
+        fence(Ordering::Release);
+        let capacity = self.ring.len() / ENTRY_WORDS;
+        let entry = &self.ring[seq as usize % capacity * ENTRY_WORDS..][..ENTRY_WORDS];
+        entry[0].store(at_ns, Ordering::Relaxed);
+        entry[1].store(kind.code() as u64, Ordering::Relaxed);
+        for (w, v) in entry[2..].iter().zip(kind.words()) {
+            w.store(v, Ordering::Relaxed);
+        }
+        self.published.store(seq + 1, Ordering::Release);
+    }
+
+    /// Merge this cell into a snapshot under construction; returns the
+    /// number of events lost to overwrites.
+    fn snapshot_into(
+        &self,
+        slot: u16,
+        hists: &mut LatencyHistograms,
+        events: &mut Vec<TraceEvent>,
+    ) -> u64 {
+        for class in LatencyClass::ALL {
+            let words = &self.hists[class as usize * HIST_WORDS..][..HIST_WORDS];
+            let mut h = LatencyHistogram::default();
+            for (b, w) in h.buckets.iter_mut().zip(words) {
+                *b = w.load(Ordering::Relaxed);
+            }
+            h.count = h.buckets.iter().sum();
+            h.sum = words[HIST_BUCKETS].load(Ordering::Relaxed);
+            hists.get_mut(class).merge(&h);
+        }
+        let capacity = (self.ring.len() / ENTRY_WORDS) as u64;
+        let end = self.published.load(Ordering::Acquire);
+        let start = end.saturating_sub(capacity);
+        let copied: Vec<[u64; ENTRY_WORDS]> = (start..end)
+            .map(|seq| {
+                let entry = &self.ring[(seq % capacity) as usize * ENTRY_WORDS..][..ENTRY_WORDS];
+                std::array::from_fn(|i| entry[i].load(Ordering::Relaxed))
+            })
+            .collect();
+        // Every event numbered below `claimed - capacity` has been, or is
+        // being, overwritten: its copy may be torn, so it counts as lost.
+        fence(Ordering::Acquire);
+        let lost = self
+            .claimed
+            .load(Ordering::Relaxed)
+            .saturating_sub(capacity);
+        let torn = lost.saturating_sub(start) as usize;
+        events.extend(copied.iter().skip(torn).filter_map(|w| {
+            let mut payload = [0; MAX_PAYLOAD_WORDS];
+            payload[..SLOT_PAYLOAD_WORDS].copy_from_slice(&w[2..]);
+            let kind = EventKind::decode(w[1], payload)?;
+            Some(TraceEvent {
+                at_ns: w[0],
+                slot,
+                kind,
+            })
+        }));
+        lost
+    }
 }
 
 /// Construction-time telemetry configuration: the flight-recorder capacity
@@ -795,49 +1023,51 @@ impl TraceConfig {
     }
 }
 
-/// The per-instance telemetry container: one padded, mutex-guarded
-/// [`SlotTelemetry`] cell per thread slot plus one *engine* slot, an
-/// enabled flag, and the timestamp epoch.
+/// The per-instance telemetry container: one padded single-writer cell per
+/// thread slot, one mutex-guarded *engine* cell, an enabled flag, and the
+/// timestamp epoch.
 ///
 /// ## Cost model
 ///
 /// *Disabled* (`TraceConfig::off()` / `TM_STM_TRACE=off`): every
 /// `record_*` call is one relaxed load of `enabled` and an immediate
 /// return — no lock, no `Instant::now`, no shared-line write. *Enabled*:
-/// one uncontended lock of the caller's own cache-padded cell (slots are
-/// thread-private, so the lock word is too) plus plain-array updates. The
-/// only cross-slot traffic is [`Telemetry::snapshot`], which walks the
-/// cells one at a time.
+/// a thread-slot record is a handful of relaxed loads and stores on the
+/// caller's own cache-padded cell — no lock, no RMW — and reuses a
+/// timestamp the caller already took (the `*_at` forms). The runtime calls
+/// them on one transaction attempt in [`SAMPLE_EVERY`] and on the rare
+/// paths (aborts, fences, escalations, retry wakes), so a steady-state
+/// transaction pays nothing. Only the engine cell — a few events per grace
+/// period, from any thread — takes a mutex. [`Telemetry::snapshot`] never
+/// blocks a thread-slot writer: a reader preempted mid-snapshot cannot park
+/// a transaction inside its epoch.
 pub struct Telemetry {
     enabled: AtomicBool,
     capacity: usize,
     epoch: Instant,
-    /// `nslots + 1` cells: the last is the engine slot.
-    slots: Box<[CachePadded<Mutex<SlotTelemetry>>]>,
+    slots: Box<[CachePadded<SlotCell>]>,
+    engine: Mutex<EngineCell>,
 }
 
 impl Telemetry {
-    /// A telemetry container for `nslots` thread slots (one extra engine
-    /// slot is added internally), configured by `cfg`.
+    /// A telemetry container for `nslots` thread slots (plus the engine
+    /// cell), configured by `cfg`.
     pub fn new(nslots: usize, cfg: TraceConfig) -> Arc<Self> {
-        let total = nslots + 1;
         assert!(
-            total <= usize::from(u16::MAX),
+            nslots < usize::from(u16::MAX),
             "slot count exceeds the 16-bit event encoding"
         );
         Arc::new(Telemetry {
             enabled: AtomicBool::new(cfg.is_enabled()),
             capacity: cfg.capacity,
             epoch: Instant::now(),
-            slots: (0..total)
-                .map(|_| {
-                    CachePadded::new(Mutex::new(SlotTelemetry {
-                        hists: LatencyHistograms::default(),
-                        ring: TraceRing::new(cfg.capacity),
-                    }))
-                })
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            slots: (0..nslots)
+                .map(|_| CachePadded::new(SlotCell::new(cfg.capacity)))
+                .collect(),
+            engine: Mutex::new(EngineCell {
+                hists: LatencyHistograms::default(),
+                ring: TraceRing::new(cfg.capacity),
+            }),
         })
     }
 
@@ -852,7 +1082,7 @@ impl Telemetry {
     /// handoff settles, generation retirements — work not attributable to
     /// any one transaction slot).
     pub fn engine_slot(&self) -> u16 {
-        (self.slots.len() - 1) as u16
+        self.slots.len() as u16
     }
 
     /// Per-slot flight-recorder capacity this instance was built with.
@@ -860,101 +1090,125 @@ impl Telemetry {
         self.capacity
     }
 
-    /// Nanoseconds since this telemetry instance was constructed (the
-    /// timebase of every [`TraceEvent::at_ns`]).
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+    /// `at` in the timebase of every [`TraceEvent::at_ns`]: nanoseconds
+    /// since this telemetry instance was constructed.
+    fn at_ns(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
-    #[inline]
-    fn with_slot(&self, slot: u16, f: impl FnOnce(&mut SlotTelemetry)) {
-        let cell = &self.slots[usize::from(slot)];
-        f(&mut cell.lock().unwrap());
+    fn with_engine(&self, f: impl FnOnce(&mut EngineCell)) {
+        f(&mut self.engine.lock().expect("engine telemetry cell poisoned"));
     }
 
-    /// Record one event into `slot`'s ring. No-op (one relaxed load) when
-    /// disabled.
+    /// Record one event into `slot`'s ring, stamped now. Must be called by
+    /// the thread that owns `slot` (or with the engine slot). No-op (one
+    /// relaxed load) when disabled.
     #[inline]
     pub fn record_event(&self, slot: u16, kind: EventKind) {
+        if self.enabled() {
+            self.record_event_at(slot, Instant::now(), kind);
+        }
+    }
+
+    /// [`Self::record_event`] with a timestamp the caller already took.
+    #[inline]
+    pub fn record_event_at(&self, slot: u16, at: Instant, kind: EventKind) {
+        match self.slots.get(usize::from(slot)) {
+            Some(cell) if KINDS[kind.code()].1.len() <= SLOT_PAYLOAD_WORDS => {
+                if self.enabled() {
+                    cell.push(self.at_ns(at), kind);
+                }
+            }
+            _ => self.record_foreign_event_at(slot, at, kind),
+        }
+    }
+
+    /// Record an event *about* `slot` from a thread that may not own it (a
+    /// fence retired by a completion callback): it goes to the engine cell
+    /// with its `slot` field intact.
+    pub fn record_foreign_event_at(&self, slot: u16, at: Instant, kind: EventKind) {
         if !self.enabled() {
             return;
         }
-        let at_ns = self.now_ns();
-        self.with_slot(slot, |s| s.ring.push(TraceEvent { at_ns, slot, kind }));
+        let at_ns = self.at_ns(at);
+        self.with_engine(|e| e.ring.push(TraceEvent { at_ns, slot, kind }));
     }
 
-    /// Record one event into the engine slot's ring.
-    #[inline]
+    /// Record one event into the engine cell's ring, from any thread.
     pub fn record_engine_event(&self, kind: EventKind) {
-        self.record_event(self.engine_slot(), kind);
+        if self.enabled() {
+            self.record_foreign_event_at(self.engine_slot(), Instant::now(), kind);
+        }
     }
 
-    /// Record one latency sample into `slot`'s `class` histogram. No-op
-    /// (one relaxed load) when disabled.
+    /// Record one latency sample into `slot`'s `class` histogram; same
+    /// ownership rule as [`Self::record_event`]. No-op (one relaxed load)
+    /// when disabled.
     #[inline]
     pub fn record_latency(&self, slot: u16, class: LatencyClass, ns: u64) {
         if !self.enabled() {
             return;
         }
-        self.with_slot(slot, |s| s.hists.record(class, ns));
+        match self.slots.get(usize::from(slot)) {
+            Some(cell) => cell.record_latency(class, ns),
+            None => self.with_engine(|e| e.hists.record(class, ns)),
+        }
     }
 
-    /// Commit fast-path combination: one lock for both the commit-latency
-    /// sample and the `TxCommit` event.
+    /// A sampled commit: the commit-latency sample and the `TxCommit`
+    /// event, stamped with the clock read that ended the measurement.
     #[inline]
-    pub fn record_commit(&self, slot: u16, latency_ns: u64) {
+    pub fn record_commit(&self, slot: u16, at: Instant, latency_ns: u64) {
+        self.record_latency(slot, LatencyClass::Commit, latency_ns);
+        self.record_event_at(slot, at, EventKind::TxCommit { latency_ns });
+    }
+
+    /// A completed grace scan that began at `started` (engine cell): the
+    /// grace-duration sample and the `GraceScan` event under one lock, from
+    /// one clock read.
+    pub fn record_grace_scan(&self, period: u64, started: Instant) {
         if !self.enabled() {
             return;
         }
-        let at_ns = self.now_ns();
-        self.with_slot(slot, |s| {
-            s.hists.commit.record(latency_ns);
-            s.ring.push(TraceEvent {
-                at_ns,
-                slot,
-                kind: EventKind::TxCommit { latency_ns },
-            });
+        let now = Instant::now();
+        let duration_ns = now.saturating_duration_since(started).as_nanos() as u64;
+        let event = TraceEvent {
+            at_ns: self.at_ns(now),
+            slot: self.engine_slot(),
+            kind: EventKind::GraceScan {
+                period,
+                duration_ns,
+            },
+        };
+        self.with_engine(|e| {
+            e.hists.grace.record(duration_ns);
+            e.ring.push(event);
         });
     }
 
-    /// Grace-scan combination (engine slot): the grace-duration sample and
-    /// the `GraceScan` event under one lock.
-    pub fn record_grace_scan(&self, period: u64, duration_ns: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let at_ns = self.now_ns();
-        let slot = self.engine_slot();
-        self.with_slot(slot, |s| {
-            s.hists.grace.record(duration_ns);
-            s.ring.push(TraceEvent {
-                at_ns,
-                slot,
-                kind: EventKind::GraceScan {
-                    period,
-                    duration_ns,
-                },
-            });
-        });
-    }
-
-    /// Merge every slot's histograms and ring into one coherent snapshot
-    /// (events sorted by timestamp). Driver fields are left unset — the
-    /// runtime layer fills them in, since only it knows the driver mode.
+    /// Merge every cell's histograms and ring into one snapshot (events
+    /// sorted by timestamp) without blocking any thread-slot writer: a
+    /// cell being written is read coherently but not atomically (a sample's
+    /// bucket may be in and its sum not yet). Driver fields are left unset
+    /// — the runtime layer fills them in, since only it knows the driver
+    /// mode.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut hists = LatencyHistograms::default();
         let mut events = Vec::new();
         let mut dropped = 0u64;
-        for cell in self.slots.iter() {
-            let s = cell.lock().unwrap();
-            hists.merge(&s.hists);
-            events.extend(s.ring.iter_in_order().copied());
-            dropped += s.ring.dropped();
+        for (slot, cell) in self.slots.iter().enumerate() {
+            dropped += cell.snapshot_into(slot as u16, &mut hists, &mut events);
         }
+        self.with_engine(|e| {
+            hists.merge(&e.hists);
+            events.extend(e.ring.iter_in_order().copied());
+            dropped += e.ring.dropped();
+        });
         events.sort_by_key(|e| (e.at_ns, e.slot));
         TelemetrySnapshot {
             enabled: self.enabled(),
             capacity: self.capacity,
+            sample_every: SAMPLE_EVERY,
             dropped,
             hists,
             events,
@@ -973,6 +1227,9 @@ pub struct TelemetrySnapshot {
     pub enabled: bool,
     /// Per-slot ring capacity of the instance.
     pub capacity: usize,
+    /// [`SAMPLE_EVERY`]: the commit histogram and the `TxBegin`/`TxCommit`
+    /// events cover one transaction attempt in this many per handle.
+    pub sample_every: u32,
     /// Events lost to ring overwrites across all slots.
     pub dropped: u64,
     /// Histograms merged across every slot.
@@ -993,16 +1250,17 @@ impl TelemetrySnapshot {
         self.events.iter().filter(|e| e.kind.is_governor_decision())
     }
 
-    /// Render the snapshot as hand-rolled JSON, schema `bench_telemetry/v1`
+    /// Render the snapshot as hand-rolled JSON, schema `bench_telemetry/v2`
     /// (the `BENCH_clocks.json` house style: no serde, numbers and strings
     /// only — booleans encode as 0/1 so the workspace's minimal structural
     /// validator covers every byte).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema\": \"bench_telemetry/v1\",\n");
+        out.push_str("  \"schema\": \"bench_telemetry/v2\",\n");
         out.push_str(&format!("  \"enabled\": {},\n", u64::from(self.enabled)));
         out.push_str(&format!("  \"capacity\": {},\n", self.capacity));
+        out.push_str(&format!("  \"sample_every\": {},\n", self.sample_every));
         out.push_str(&format!("  \"dropped_events\": {},\n", self.dropped));
         out.push_str(&format!(
             "  \"driver\": {{\"mode\": \"{}\"{}}},\n",
@@ -1291,8 +1549,9 @@ mod tests {
         assert!(!t.enabled());
         t.record_event(0, EventKind::TxBegin);
         t.record_latency(1, LatencyClass::Commit, 55);
-        t.record_commit(0, 99);
-        t.record_grace_scan(1, 1000);
+        t.record_commit(0, Instant::now(), 99);
+        t.record_foreign_event_at(1, Instant::now(), EventKind::FenceRetire { period: 1 });
+        t.record_grace_scan(1, Instant::now());
         let s = t.snapshot();
         assert!(!s.enabled);
         assert!(s.events.is_empty());
@@ -1304,12 +1563,13 @@ mod tests {
     #[test]
     fn snapshot_merges_slots_and_sorts_events() {
         let t = Telemetry::new(2, TraceConfig::with_capacity(16));
-        t.record_commit(1, 200);
-        t.record_commit(0, 100);
+        t.record_commit(1, Instant::now(), 200);
+        t.record_commit(0, Instant::now(), 100);
         t.record_latency(0, LatencyClass::FenceWait, 30);
-        t.record_grace_scan(7, 4000);
+        t.record_grace_scan(7, Instant::now());
         let s = t.snapshot();
         assert!(s.enabled);
+        assert_eq!(s.sample_every, SAMPLE_EVERY);
         assert_eq!(s.hists.commit.count(), 2, "commit samples merge");
         assert_eq!(s.hists.commit.sum(), 300);
         assert_eq!(s.hists.fence_wait.count(), 1);
@@ -1382,6 +1642,17 @@ mod tests {
             for (name, _) in k.fields() {
                 assert!(!name.is_empty());
             }
+            // The ring encoding round-trips, and `fields` is that encoding
+            // under its names.
+            assert_eq!(EventKind::decode(k.code() as u64, k.words()), Some(*k));
+            let values: Vec<u64> = k.fields().iter().map(|&(_, v)| v).collect();
+            assert_eq!(values, k.words()[..values.len()]);
+            assert!(k.words()[values.len()..].iter().all(|&w| w == 0));
+        }
+        assert_eq!(EventKind::decode(13, [0; 5]), None, "unknown kind");
+        assert_eq!(EventKind::decode(2, [6, 0, 0, 0, 0]), None, "unknown cause");
+        for (i, cause) in AbortCause::ALL.iter().enumerate() {
+            assert_eq!(cause.code(), i as u64);
         }
         assert_eq!(AbortCause::User.label(), "user");
         assert_eq!(AbortCause::Panic.label(), "panic");
@@ -1399,7 +1670,7 @@ mod tests {
     #[test]
     fn json_has_schema_and_event_payloads() {
         let t = Telemetry::new(1, TraceConfig::with_capacity(8));
-        t.record_commit(0, 150);
+        t.record_commit(0, Instant::now(), 150);
         t.record_event(
             0,
             EventKind::ClockSwitchRequest {
@@ -1412,11 +1683,106 @@ mod tests {
         s.driver_mode = Some("background");
         s.driver_idle_wakeups = Some(5);
         let json = s.to_json();
-        assert!(json.contains("\"schema\": \"bench_telemetry/v1\""));
+        assert!(json.contains("\"schema\": \"bench_telemetry/v2\""));
+        assert!(json.contains(&format!("\"sample_every\": {SAMPLE_EVERY}")));
         assert!(json.contains("\"class\": \"commit\""));
         assert!(json.contains("\"kind\": \"clock-switch-request\""));
         assert!(json.contains("\"write_commits\": 128"));
         assert!(json.contains("\"mode\": \"background\""));
         assert!(json.contains("\"idle_wakeups\": 5"));
+    }
+
+    /// A thread-slot ring keeps the newest `capacity` events and counts
+    /// the rest as dropped, exactly like the engine's [`TraceRing`].
+    #[test]
+    fn slot_ring_overwrites_oldest_and_counts_drops() {
+        let t = Telemetry::new(1, TraceConfig::with_capacity(3));
+        for n in 1..=5u64 {
+            t.record_event(0, EventKind::FenceIssue { period: n });
+        }
+        let s = t.snapshot();
+        let periods: Vec<u64> = s.events.iter().map(|e| e.kind.words()[0]).collect();
+        assert_eq!(periods, vec![3, 4, 5], "oldest-first after wrapping");
+        assert_eq!(s.dropped, 2, "two events were overwritten");
+        assert!(s.events.iter().all(|e| e.slot == 0));
+    }
+
+    /// Events a thread raises about a slot it may not own, and events too
+    /// wide for a thread-slot entry, land in the engine cell — with the
+    /// slot they are about intact.
+    #[test]
+    fn foreign_and_wide_events_go_to_the_engine_cell() {
+        let t = Telemetry::new(2, TraceConfig::with_capacity(2));
+        let wide = EventKind::StripePublish {
+            grow: true,
+            from_stripes: 4,
+            to_stripes: 8,
+            false_conflicts: 9,
+            window: 128,
+        };
+        t.record_foreign_event_at(1, Instant::now(), EventKind::FenceRetire { period: 7 });
+        t.record_event(1, wide);
+        // Slot 1's own ring is untouched: two more events fit without a drop.
+        t.record_event(1, EventKind::TxBegin);
+        t.record_event(1, EventKind::TxBegin);
+        let s = t.snapshot();
+        assert_eq!(s.dropped, 0);
+        assert_eq!(s.events.len(), 4);
+        assert!(s.events.iter().all(|e| e.slot == 1), "{:?}", s.events);
+        assert!(s.events.iter().any(|e| e.kind == wide), "payload intact");
+    }
+
+    /// A reader never blocks the writer and never returns a torn entry:
+    /// while one thread wraps its ring many times, every event a
+    /// concurrent snapshot returns is one the writer wrote (payload words
+    /// agree with each other), in writing order, and `dropped` only grows.
+    #[test]
+    fn concurrent_snapshots_of_a_wrapping_ring_never_tear() {
+        const CAPACITY: u64 = 8;
+        const EVENTS: u64 = 200_000; // wraps the ring 25 000 times
+        let t = Telemetry::new(1, TraceConfig::with_capacity(CAPACITY as usize));
+        let started = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                started.wait();
+                for n in 0..EVENTS {
+                    t.record_event(
+                        0,
+                        EventKind::ClockSwitchRequest {
+                            to_gv5: n % 2 == 1,
+                            read_commits: n,
+                            write_commits: !n,
+                        },
+                    );
+                }
+            });
+            started.wait();
+            let mut last_dropped = 0;
+            loop {
+                let snap = t.snapshot();
+                assert!(snap.dropped >= last_dropped, "dropped went backwards");
+                last_dropped = snap.dropped;
+                assert!(snap.events.len() as u64 <= CAPACITY);
+                let mut last_n = None;
+                for e in &snap.events {
+                    let EventKind::ClockSwitchRequest {
+                        to_gv5,
+                        read_commits: n,
+                        write_commits,
+                    } = e.kind
+                    else {
+                        panic!("an event nobody wrote: {e:?}");
+                    };
+                    assert_eq!((to_gv5, write_commits), (n % 2 == 1, !n), "torn: {e:?}");
+                    assert!(last_n < Some(n), "out of order: {:?}", snap.events);
+                    last_n = Some(n);
+                }
+                if last_n == Some(EVENTS - 1) {
+                    assert_eq!(snap.dropped, EVENTS - CAPACITY);
+                    assert_eq!(snap.events.len() as u64, CAPACITY);
+                    break;
+                }
+            }
+        });
     }
 }
