@@ -1,6 +1,7 @@
 //! The public STM interface shared by all implementations.
 
 use crate::fence::{FenceTicket, FenceTimeout};
+use crate::runtime::DirectReader;
 use std::fmt;
 use std::time::Duration;
 
@@ -42,6 +43,12 @@ pub trait StmHandle {
     /// Uninstrumented non-transactional read. Only safe (strongly atomic)
     /// for data-race free usage per the paper's discipline.
     fn read_direct(&mut self, x: usize) -> u64;
+
+    /// A bulk form of [`Self::read_direct`] for passes over many registers
+    /// (frozen-map scans): same reads, same recorded actions, same
+    /// [`Stats::direct_reads`] total, with the per-read bookkeeping hoisted
+    /// out of the loop.
+    fn direct_reader(&mut self) -> DirectReader<'_>;
 
     /// Uninstrumented non-transactional write.
     fn write_direct(&mut self, x: usize, v: u64);

@@ -803,7 +803,9 @@ mod tests {
                 let engine = std::sync::Arc::clone(&engine);
                 s.spawn(move || {
                     let mut want = AutoMode::Gv5;
-                    while !stop.load(Ordering::Relaxed) {
+                    // Request before checking `stop`: on a loaded box the
+                    // stampers can finish before this thread first runs.
+                    loop {
                         if c.request(want, &engine) {
                             want = match want {
                                 AutoMode::Gv1 => AutoMode::Gv5,
@@ -811,6 +813,9 @@ mod tests {
                             };
                         }
                         c.poll_settle();
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
                         std::thread::yield_now();
                     }
                 });

@@ -12,7 +12,7 @@
 //! actions.
 
 use crate::api::Abort;
-use crate::runtime::{FenceMode, Handle, Policy, PolicyKind, Stm, StmConfig, TxCtx};
+use crate::runtime::{FenceMode, Handle, Policy, PolicyKind, Runtime, Stm, StmConfig, TxCtx};
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -23,14 +23,15 @@ pub struct GlockShared {
 }
 
 /// The global lock's [`PolicyKind`]. No lock table, so
-/// [`StmConfig::storage`] is ignored.
+/// [`StmConfig::storage`] is ignored, as is the orec word of every
+/// [`crate::vlock::RegCell`] (16 bytes per register, 8 of them unused).
 pub struct GlockKind;
 
 impl PolicyKind for GlockKind {
     type Policy = GlockPolicy;
     type Shared = GlockShared;
 
-    fn build_shared(_cfg: &StmConfig) -> GlockShared {
+    fn build_shared(_cfg: &StmConfig, _rt: &Runtime) -> GlockShared {
         GlockShared {
             lock: CachePadded::new(AtomicBool::new(false)),
         }

@@ -239,11 +239,15 @@ impl TxMap {
     /// Bulk snapshot with uninstrumented reads. Only safe between
     /// [`Self::freeze`] and [`Self::thaw`] on the same handle.
     pub fn iter_frozen<H: StmHandle>(&self, h: &mut H) -> Vec<(u64, u64)> {
+        // One reader for the pass: a `read_direct` per register would
+        // reload the runtime pointer, the recorder and the stats word on
+        // every iteration (nothing hoists across a `SeqCst` load).
+        let mut rd = h.direct_reader();
         let mut out = Vec::new();
         for slot in 0..self.cap {
-            let k = h.read_direct(self.key_reg(slot));
+            let k = rd.read(self.key_reg(slot));
             if k >= KEY_BIAS {
-                out.push((k - KEY_BIAS, h.read_direct(self.val_reg(slot))));
+                out.push((k - KEY_BIAS, rd.read(self.val_reg(slot))));
             }
         }
         out
@@ -462,6 +466,52 @@ mod tests {
             assert_eq!(m.iter_frozen(&mut h), vec![(7, 70 + i as u64)]);
             m.thaw(&mut h);
         }
+    }
+
+    /// The bulk reader behind `iter_frozen` is `read_direct` with the
+    /// bookkeeping lifted out of the loop and nothing else: a recorded pass
+    /// is byte-identical to the per-register loop it replaced (same reads
+    /// in the same order, one `record_pair` each, value slots of empty
+    /// keys skipped), and `direct_reads` ends at the same total.
+    #[test]
+    fn iter_frozen_records_exactly_what_a_read_direct_loop_records() {
+        use crate::record::Recorder;
+        use crate::runtime::StmConfig;
+        use std::sync::Arc;
+        let run = |bulk: bool| {
+            let rec = Arc::new(Recorder::new(1));
+            let m = TxMap::new(0, 8);
+            let stm = Tl2Stm::with_config(
+                StmConfig::new(TxMap::regs_needed(8), 1)
+                    .recorder(Arc::clone(&rec))
+                    .chaos_off(),
+            );
+            let mut h = stm.handle(0);
+            for k in [3u64, 5, 11] {
+                h.atomic(|tx| m.insert(tx, k, 100 + k).map(|_| ()));
+            }
+            m.freeze(&mut h);
+            let out = if bulk {
+                m.iter_frozen(&mut h)
+            } else {
+                let mut out = Vec::new();
+                for slot in 0..m.cap {
+                    let k = h.read_direct(m.key_reg(slot));
+                    if k >= KEY_BIAS {
+                        out.push((k - KEY_BIAS, h.read_direct(m.val_reg(slot))));
+                    }
+                }
+                out
+            };
+            m.thaw(&mut h);
+            let text = tm_core::textio::to_text(&rec.snapshot_history());
+            (out, text, h.stats().direct_reads)
+        };
+        let (bulk, manual) = (run(true), run(false));
+        assert_eq!(bulk.0.len(), 3);
+        assert_eq!(bulk.2, 8 + 3, "8 key slots + 3 occupied value slots");
+        assert!(bulk.1.lines().count() > 22, "11 direct reads were recorded");
+        assert_eq!(bulk, manual);
     }
 
     #[test]

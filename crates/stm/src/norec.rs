@@ -14,7 +14,7 @@
 //! a quiescence this TM does not perform).
 
 use crate::api::Abort;
-use crate::runtime::{FenceMode, Handle, Policy, PolicyKind, Stm, StmConfig, TxCtx};
+use crate::runtime::{FenceMode, Handle, Policy, PolicyKind, Runtime, Stm, StmConfig, TxCtx};
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,14 +27,15 @@ pub struct NorecShared {
 }
 
 /// NOrec's [`PolicyKind`]. No lock table, so [`StmConfig::storage`] is
-/// ignored.
+/// ignored — and so is the orec word of every [`crate::vlock::RegCell`]:
+/// NOrec pays 16 bytes per register for the file it shares with TL2.
 pub struct NorecKind;
 
 impl PolicyKind for NorecKind {
     type Policy = NorecPolicy;
     type Shared = NorecShared;
 
-    fn build_shared(_cfg: &StmConfig) -> NorecShared {
+    fn build_shared(_cfg: &StmConfig, _rt: &Runtime) -> NorecShared {
         NorecShared {
             global: CachePadded::new(AtomicU64::new(0)),
         }

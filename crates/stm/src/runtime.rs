@@ -21,6 +21,7 @@ use crate::clock::ClockKind;
 use crate::fence::{FenceTicket, FenceTimeout};
 use crate::record::Recorder;
 use crate::storage::{splitmix64, StorageKind};
+use crate::vlock::{reg_file, RegCell};
 use crossbeam::utils::CachePadded;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -301,14 +302,14 @@ impl StmConfig {
 /// The shared, policy-independent state of one STM instance: register file,
 /// fence epochs, and the optional history recorder.
 ///
-/// The register file is *dense* — 8 bytes per register, no cache padding.
-/// Padding every value word would inflate a million-register file 16x,
-/// defeating the constant-metadata story of the striped orec table;
-/// adjacent registers may false-share, which is the same trade production
-/// STMs make for their data arrays (metadata, which is written on every
-/// commit, stays padded).
+/// The register file is one dense array of 16-byte [`RegCell`]s — value
+/// and ownership record side by side, four registers per cache line, no
+/// padding — and TL2's per-register lock table is a view over the same
+/// cells (it shares the `Arc`). Adjacent registers may false-share: the
+/// trade production STMs make for their data arrays, here extended to the
+/// metadata (see `docs/ARCHITECTURE.md`: unmeasured at scale).
 pub struct Runtime {
-    values: Box<[AtomicU64]>,
+    cells: Arc<[RegCell]>,
     /// The grace-period engine: owns the epoch table, numbers grace
     /// periods, and batches every fence ticket issued during the same open
     /// period behind one epoch-table scan.
@@ -412,10 +413,6 @@ impl Runtime {
     /// Build the shared runtime for one instance (register file, grace
     /// engine, optional driver thread, optional recorder).
     pub fn new(cfg: &StmConfig) -> Arc<Self> {
-        let values = (0..cfg.nregs)
-            .map(|_| AtomicU64::new(0))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         let grace = GraceEngine::new(cfg.nthreads);
         let telemetry = Telemetry::new(cfg.nthreads, cfg.trace);
         grace.set_telemetry(Arc::clone(&telemetry));
@@ -424,7 +421,7 @@ impl Runtime {
         let driver = (cfg.driver == DriverMode::Background)
             .then(|| GraceDriver::spawn(Arc::clone(&grace), GraceDriver::DEFAULT_TICK));
         Arc::new(Runtime {
-            values,
+            cells: reg_file(cfg.nregs),
             grace,
             driver,
             recorder: cfg.recorder.clone(),
@@ -448,7 +445,13 @@ impl Runtime {
 
     /// Number of registers in the register file.
     pub fn nregs(&self) -> usize {
-        self.values.len()
+        self.cells.len()
+    }
+
+    /// The register file, for policies whose metadata lives in the cells
+    /// (TL2's per-register lock table).
+    pub(crate) fn file(&self) -> &Arc<[RegCell]> {
+        &self.cells
     }
 
     /// Number of thread slots.
@@ -623,11 +626,10 @@ impl Runtime {
         })
     }
 
-    /// Load register `x` (all data accesses are `SeqCst`; see module docs of
-    /// [`crate::tl2`] for why).
+    /// Load register `x`.
     #[inline]
     pub fn load(&self, x: usize) -> u64 {
-        self.values[x].load(Ordering::SeqCst)
+        self.cells[x].load()
     }
 
     /// Store register `x`.
@@ -647,7 +649,7 @@ impl Runtime {
     /// visible to the waiter's validation.
     #[inline]
     pub fn store(&self, x: usize, v: u64) {
-        self.values[x].store(v, Ordering::SeqCst);
+        self.cells[x].value.store(v, Ordering::SeqCst);
         if self.retry_waiter_count.load(Ordering::SeqCst) != 0 {
             self.wake_retry_waiters(x);
         }
@@ -699,6 +701,49 @@ impl Runtime {
     /// Unsynchronized snapshot of a register (test/report helper).
     pub fn peek(&self, x: usize) -> u64 {
         self.load(x)
+    }
+}
+
+/// The loop-invariant half of [`StmHandle::read_direct`], held in locals
+/// for a bulk pass ([`StmHandle::direct_reader`]): the file slice, the
+/// recorder `Option` and the read count stay in registers instead of being
+/// reloaded through the handle around every `SeqCst` load. Reads and
+/// recorded actions are exactly `read_direct`'s; the count lands in
+/// [`Stats::direct_reads`] as one `+= n` on drop.
+pub struct DirectReader<'a> {
+    cells: &'a [RegCell],
+    recorder: Option<&'a Recorder>,
+    slot: usize,
+    reads: u64,
+    total: &'a mut u64,
+}
+
+impl DirectReader<'_> {
+    /// Uninstrumented non-transactional read of register `x`.
+    #[inline]
+    pub fn read(&mut self, x: usize) -> u64 {
+        let v = self.cells[x].load();
+        self.reads += 1;
+        if let Some(r) = self.recorder {
+            Self::record(r, self.slot, x, v);
+        }
+        v
+    }
+
+    /// Out of line so `read` stays small enough to inline into the
+    /// caller's loop. One `record_pair`, not two records: clause 7
+    /// requires the pair to be *globally* adjacent, which two separate
+    /// sequence draws cannot guarantee against concurrent recorders.
+    #[cold]
+    #[inline(never)]
+    fn record(r: &Recorder, slot: usize, x: usize, v: u64) {
+        r.record_pair(slot, Kind::Read(Reg(x as u32)), Kind::RetVal(v));
+    }
+}
+
+impl Drop for DirectReader<'_> {
+    fn drop(&mut self) {
+        *self.total += self.reads;
     }
 }
 
@@ -1132,8 +1177,10 @@ pub trait PolicyKind: 'static {
     /// The instance-shared state type.
     type Shared: Send + Sync + 'static;
 
-    /// Build the instance-shared state from the configuration.
-    fn build_shared(cfg: &StmConfig) -> Self::Shared;
+    /// Build the instance-shared state from the configuration and the
+    /// already-built runtime (whose register file carries the per-register
+    /// orecs).
+    fn build_shared(cfg: &StmConfig, rt: &Runtime) -> Self::Shared;
     /// Mint one per-thread policy over the shared state.
     fn build_policy(shared: &Arc<Self::Shared>) -> Self::Policy;
     /// Post-construction wiring between the shared state and the runtime,
@@ -1185,7 +1232,7 @@ impl<K: PolicyKind> Stm<K> {
     /// recorder.
     pub fn with_config(cfg: StmConfig) -> Self {
         let rt = Runtime::new(&cfg);
-        let shared = Arc::new(K::build_shared(&cfg));
+        let shared = Arc::new(K::build_shared(&cfg, &rt));
         K::after_build(&rt, &shared);
         Stm {
             rt,
@@ -1355,13 +1402,17 @@ impl<P: Policy> StmHandle for Handle<P> {
     }
 
     fn read_direct(&mut self, x: usize) -> u64 {
-        let v = self.rt.load(x);
-        self.stats.direct_reads += 1;
-        // One `record_pair`, not two `rec`s: clause 7 requires the pair to
-        // be *globally* adjacent, which two separate sequence draws cannot
-        // guarantee against concurrent recorders.
-        self.rec_pair(Kind::Read(Reg(x as u32)), Kind::RetVal(v));
-        v
+        self.direct_reader().read(x)
+    }
+
+    fn direct_reader(&mut self) -> DirectReader<'_> {
+        DirectReader {
+            cells: &self.rt.cells,
+            recorder: self.rt.recorder.as_deref(),
+            slot: self.slot as usize,
+            reads: 0,
+            total: &mut self.stats.direct_reads,
+        }
     }
 
     fn write_direct(&mut self, x: usize, v: u64) {

@@ -6,13 +6,18 @@
 //! are the same either way), but it dominates the memory footprint and the
 //! false-conflict rate:
 //!
-//! * [`PerRegisterTable`] — one [`VLock`] per register, cache-padded. No
-//!   false conflicts, but 128 bytes of metadata per register: unusable for
-//!   the ROADMAP's millions-of-registers deployments.
+//! * [`PerRegisterTable`] — one [`VLock`] per register, living *beside the
+//!   value* in the runtime's 16-byte [`RegCell`]: no false conflicts, 8
+//!   bytes of metadata per register (a million registers: 16 MiB, values
+//!   included), and the orec a read must sample arrives on the cache line
+//!   of the datum. Four neighbouring registers share a line, so unrelated
+//!   writers can false-*share* (never false-*conflict*) — see
+//!   `docs/ARCHITECTURE.md`, "unmeasured at scale".
 //! * [`StripedTable`] — a fixed-size *striped orec table*: register `x` is
 //!   guarded by stripe `splitmix64(x) % nstripes`. Constant metadata
-//!   footprint, at the price of *false conflicts* between registers that
-//!   share a stripe (production TL2 descendants make exactly this trade).
+//!   footprint (each word cache-padded), at the price of *false conflicts*
+//!   between registers that share a stripe and a second cache line per
+//!   read (production TL2 descendants make exactly this trade).
 //!
 //! Both present the same [`LockTable`] interface, so a concurrency-control
 //! policy written against it (see [`crate::tl2`]) is storage-agnostic.
@@ -70,7 +75,7 @@
 //! assert_eq!(h.stats().current_stripes, 16);
 //! ```
 
-use crate::vlock::{VLock, VLockState};
+use crate::vlock::{RegCell, VLock, VLockState};
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -97,16 +102,20 @@ pub enum StorageKind {
 }
 
 impl StorageKind {
-    /// Build a *fixed* lock table for a register file of `nregs` registers.
+    /// Build a *fixed* lock table for the register file `file`: the
+    /// per-register table is a view over the file's own cells, a striped
+    /// table allocates its `stripes` words beside it.
     ///
     /// # Panics
     ///
     /// Panics for [`StorageKind::Adaptive`]: the adaptive table is a
     /// multi-generation structure built through [`StorageKind::build_tables`]
     /// and driven by a generation-aware policy, not a bare [`LockTable`].
-    pub fn build(self, nregs: usize) -> AnyLockTable {
+    pub fn build(self, file: &Arc<[RegCell]>) -> AnyLockTable {
         match self {
-            StorageKind::PerRegister => AnyLockTable::PerRegister(PerRegisterTable::new(nregs)),
+            StorageKind::PerRegister => {
+                AnyLockTable::PerRegister(PerRegisterTable::over(Arc::clone(file)))
+            }
             StorageKind::Striped { stripes } => AnyLockTable::Striped(StripedTable::new(stripes)),
             StorageKind::Adaptive(_) => {
                 panic!("adaptive storage is built via StorageKind::build_tables")
@@ -114,17 +123,17 @@ impl StorageKind {
         }
     }
 
-    /// Build the (possibly adaptive) table set for a register file of
-    /// `nregs` registers — what generation-aware policies consume. This is
-    /// where an [`AdaptivePolicy`] with the `start == 0` sentinel gets its
-    /// initial stripe count seeded from `nregs` (see
+    /// Build the (possibly adaptive) table set for the register file
+    /// `file` — what generation-aware policies consume. This is where an
+    /// [`AdaptivePolicy`] with the `start == 0` sentinel gets its initial
+    /// stripe count seeded from the file's length (see
     /// [`AdaptivePolicy::seeded`]).
-    pub fn build_tables(self, nregs: usize) -> AnyTables {
+    pub fn build_tables(self, file: &Arc<[RegCell]>) -> AnyTables {
         match self {
             StorageKind::Adaptive(policy) => {
-                AnyTables::Adaptive(AdaptiveTable::new(policy.seeded(nregs)))
+                AnyTables::Adaptive(AdaptiveTable::new(policy.seeded(file.len())))
             }
-            fixed => AnyTables::Fixed(fixed.build(nregs)),
+            fixed => AnyTables::Fixed(fixed.build(file)),
         }
     }
 
@@ -290,17 +299,24 @@ fn vlock_array(n: usize) -> Box<[CachePadded<VLock>]> {
         .into_boxed_slice()
 }
 
-/// One cache-padded [`VLock`] per register: precise, memory-hungry.
+/// One [`VLock`] per register: a view over the orec words of the runtime's
+/// own [`RegCell`] file, not an allocation. Precise, and 8 bytes per
+/// register.
 pub struct PerRegisterTable {
-    locks: Box<[CachePadded<VLock>]>,
+    cells: Arc<[RegCell]>,
 }
 
 impl PerRegisterTable {
-    /// A table with one lock word per register.
-    pub fn new(nregs: usize) -> Self {
-        PerRegisterTable {
-            locks: vlock_array(nregs),
-        }
+    /// The per-register view over `cells`.
+    pub fn over(cells: Arc<[RegCell]>) -> Self {
+        PerRegisterTable { cells }
+    }
+
+    /// Register `x`'s cell: the orec this table locks and the value it
+    /// guards, behind one bounds check.
+    #[inline]
+    pub(crate) fn cell(&self, x: usize) -> &RegCell {
+        &self.cells[x]
     }
 }
 
@@ -311,27 +327,27 @@ impl LockTable for PerRegisterTable {
     }
 
     fn nstripes(&self) -> usize {
-        self.locks.len()
+        self.cells.len()
     }
 
     #[inline]
     fn sample_stripe(&self, s: usize) -> VLockState {
-        self.locks[s].sample()
+        self.cells[s].orec.sample()
     }
 
     #[inline]
     fn try_lock_stripe(&self, s: usize, owner: u16) -> Result<u64, VLockState> {
-        self.locks[s].try_lock(owner)
+        self.cells[s].orec.try_lock(owner)
     }
 
     #[inline]
     fn unlock_stripe(&self, s: usize) {
-        self.locks[s].unlock()
+        self.cells[s].orec.unlock()
     }
 
     #[inline]
     fn unlock_stripe_set_version(&self, s: usize, version: u64) {
-        self.locks[s].unlock_set_version(version)
+        self.cells[s].orec.unlock_set_version(version)
     }
 }
 
@@ -1013,10 +1029,11 @@ impl AdaptiveTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vlock::reg_file;
 
     #[test]
     fn per_register_is_identity_mapped() {
-        let t = PerRegisterTable::new(8);
+        let t = PerRegisterTable::over(reg_file(8));
         assert_eq!(t.nstripes(), 8);
         for x in 0..8 {
             assert_eq!(t.stripe_of(x), x);
@@ -1027,10 +1044,16 @@ mod tests {
     fn striped_footprint_is_constant_in_register_count() {
         // The whole point: metadata for a million registers is still only
         // `stripes` lock words.
-        let t = StorageKind::Striped { stripes: 256 }.build(1 << 20);
+        let t = StorageKind::Striped { stripes: 256 }.build(&reg_file(1 << 20));
         assert_eq!(t.nstripes(), 256);
-        let p = StorageKind::PerRegister.build(1 << 10);
+        let file = reg_file(1 << 10);
+        let p = StorageKind::PerRegister.build(&file);
         assert_eq!(p.nstripes(), 1 << 10);
+        // The per-register table allocates nothing: locking stripe 5 *is*
+        // locking the file's own cell 5.
+        p.try_lock_stripe(5, 0).unwrap();
+        assert!(file[5].orec.sample().is_locked());
+        assert!(!file[4].orec.sample().is_locked());
     }
 
     #[test]
@@ -1079,8 +1102,8 @@ mod tests {
     #[test]
     fn lock_protocol_via_table_interface() {
         for table in [
-            StorageKind::PerRegister.build(4),
-            StorageKind::Striped { stripes: 2 }.build(4),
+            StorageKind::PerRegister.build(&reg_file(4)),
+            StorageKind::Striped { stripes: 2 }.build(&reg_file(4)),
         ] {
             let s = table.stripe_of(3);
             assert_eq!(table.try_lock_stripe(s, 5), Ok(0));
@@ -1137,7 +1160,7 @@ mod tests {
         t.record_writer_shared(s);
         assert_eq!(t.writer_hint(s), WriterHint::Shared);
         // Per-register tables never hint: every conflict there is real.
-        let p = PerRegisterTable::new(4);
+        let p = PerRegisterTable::over(reg_file(4));
         p.record_writer(2, 2);
         assert_eq!(p.writer_hint(2), WriterHint::None);
     }
@@ -1501,22 +1524,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "build_tables")]
     fn fixed_build_rejects_adaptive() {
-        StorageKind::Adaptive(AdaptivePolicy::default()).build(8);
+        StorageKind::Adaptive(AdaptivePolicy::default()).build(&reg_file(8));
     }
 
     #[test]
     fn build_tables_dispatches() {
-        match (StorageKind::Striped { stripes: 4 }).build_tables(16) {
+        match (StorageKind::Striped { stripes: 4 }).build_tables(&reg_file(16)) {
             AnyTables::Fixed(t) => assert_eq!(t.nstripes(), 4),
             AnyTables::Adaptive(_) => panic!("striped is fixed"),
         }
         // The default policy's start seeds from the register count: 16
         // registers deserve one stripe, a million deserve the 64 cap.
-        match StorageKind::Adaptive(AdaptivePolicy::default()).build_tables(16) {
+        match StorageKind::Adaptive(AdaptivePolicy::default()).build_tables(&reg_file(16)) {
             AnyTables::Adaptive(t) => assert_eq!(t.nstripes(), 1),
             AnyTables::Fixed(_) => panic!("adaptive is not fixed"),
         }
-        match StorageKind::Adaptive(AdaptivePolicy::default()).build_tables(1 << 20) {
+        match StorageKind::Adaptive(AdaptivePolicy::default()).build_tables(&reg_file(1 << 20)) {
             AnyTables::Adaptive(t) => assert_eq!(t.nstripes(), 64),
             AnyTables::Fixed(_) => panic!("adaptive is not fixed"),
         }

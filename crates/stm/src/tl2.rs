@@ -4,8 +4,10 @@
 //! Globally: a pluggable version clock ([`crate::clock`], selected via
 //! [`StmConfig::clock`]: GV1 `fetch_add`, GV4 CAS-with-adopt, or GV5
 //! slot-local deltas) and a pluggable [`LockTable`] of versioned
-//! write-locks — one per register ([`crate::storage::PerRegisterTable`]) or
-//! a striped orec table ([`crate::storage::StripedTable`]), selected via
+//! write-locks — one per register, in the register's own 16-byte cell
+//! ([`crate::storage::PerRegisterTable`], the paper's `reg[x]`/`ver[x]`/
+//! `lock[x]` side by side), or a striped orec table
+//! ([`crate::storage::StripedTable`]), selected via
 //! [`StmConfig::storage`]. Transactions buffer writes, validate reads
 //! against their read timestamp, lock the *stripes* of their write set at
 //! commit (deduplicated, in sorted order), re-validate, then write back.
@@ -91,8 +93,8 @@ impl PolicyKind for Tl2Kind {
     type Policy = Tl2Policy;
     type Shared = Tl2Shared;
 
-    fn build_shared(cfg: &StmConfig) -> Tl2Shared {
-        let mut tables = cfg.storage.build_tables(cfg.nregs);
+    fn build_shared(cfg: &StmConfig, rt: &Runtime) -> Tl2Shared {
+        let mut tables = cfg.storage.build_tables(rt.file());
         // Selecting the Auto clock is what arms the *full* governor: the
         // adaptive table additionally gets its shrink side (the grow
         // migration protocol in reverse, hysteresis-gapped below the grow
@@ -310,6 +312,24 @@ fn tables<'a>(shared: &'a Tl2Shared, pinned: &'a Option<(u64, Arc<TableGen>)>) -
 }
 
 impl Tables<'_> {
+    /// Fig 9 lines 17–23 for register `x`: lock word(s), value, lock
+    /// word(s) again. Under per-register storage all three come out of the
+    /// register's own cell — one bounds check, one cache line.
+    #[inline]
+    fn read_sandwich(&self, rt: &Runtime, x: usize) -> (StripeSnap, u64, StripeSnap) {
+        if let Tables::Fixed(AnyLockTable::PerRegister(t)) = self {
+            let cell = t.cell(x);
+            let snap = || StripeSnap {
+                cur: cell.orec.sample(),
+                prev: None,
+            };
+            let s1 = snap();
+            return (s1, cell.load(), snap());
+        }
+        let s1 = self.snap(x);
+        (s1, rt.load(x), self.snap(x))
+    }
+
     /// Sample every live lock word guarding register `x`.
     #[inline]
     fn snap(&self, x: usize) -> StripeSnap {
@@ -611,9 +631,7 @@ impl Policy for Tl2Policy {
         // the snap spans both generations, so a commit through either
         // table is observed.
         let t = tables(&self.shared, &self.pinned);
-        let s1 = t.snap(x);
-        let val = ctx.rt.load(x);
-        let s2 = t.snap(x);
+        let (s1, val, s2) = t.read_sandwich(ctx.rt, x);
         if s2.is_locked() || s1 != s2 || self.rv < s2.version_max() {
             if self.rv < s2.version_max() {
                 self.refresh_on_stale_rv(ctx, s2.version_max());
@@ -1220,6 +1238,36 @@ mod tests {
             "a settled GV1 discipline must elide again: {:?}",
             h.stats()
         );
+    }
+
+    /// Four registers share a cache line; they must never share a *lock*.
+    /// With `x`'s orec held by another slot, reading `x` aborts and reading
+    /// `x + 1` — 16 bytes away — does not: nothing samples, locks or
+    /// validates at line granularity.
+    #[test]
+    fn locked_orec_does_not_abort_a_read_of_its_neighbour() {
+        let stm = Tl2Stm::with_config(StmConfig::new(8, 2).chaos_off());
+        stm.runtime().store(5, 55);
+        let file = stm.runtime().file();
+        assert_eq!(file[4].orec.try_lock(1), Ok(0));
+        let mut h = stm.handle(0);
+        assert_eq!(h.try_atomic(|tx| tx.read(5)), Ok(55), "neighbour reads");
+        assert_eq!(h.try_atomic(|tx| tx.read(3)), Ok(0), "either side");
+        assert_eq!(h.try_atomic(|tx| tx.read(4)), Err(Abort), "x itself aborts");
+        let s = h.stats();
+        assert_eq!((s.commits, s.aborts_read, s.false_conflicts), (2, 1, 0));
+        // A commit writing the neighbours goes through; one writing `x`
+        // loses the trylock.
+        h.atomic(|tx| {
+            tx.write(3, 1)?;
+            tx.write(5, 2)
+        });
+        assert_eq!(h.try_atomic(|tx| tx.write(4, 9)), Err(Abort));
+        assert_eq!(h.stats().aborts_lock, 1);
+        assert_eq!(stm.locked_stripes(), 1, "only the word we took by hand");
+        file[4].orec.unlock();
+        h.atomic(|tx| tx.write(4, 9));
+        assert_eq!((stm.peek(3), stm.peek(4), stm.peek(5)), (1, 9, 2));
     }
 
     #[test]

@@ -133,37 +133,53 @@ fn glock_body_panic_releases_the_global_lock() {
 /// The poisoning contract: a panic injected *inside commit, after the
 /// write-set locks are taken* (armed at the clock-bump site) unwinds with
 /// every lock released and the epoch slot exited — but the handle is
-/// condemned, because its write-back may be half applied.
+/// condemned, because its write-back may be half applied. Run over the
+/// per-register cells and a striped table: the lock words live in different
+/// places, the guard that frees them (`LockGuard` in `tl2.rs`) is one.
 #[test]
 fn panic_through_commit_poisons_the_handle_but_not_the_runtime() {
-    let stm = Tl2Stm::with_config(StmConfig::new(8, 2).striped(4).chaos_off());
-    let mut h = stm.handle(0);
-    h.atomic(|tx| tx.write(0, 1));
-    assert!(!h.is_poisoned());
-    // The next writing commit panics at the clock bump — strictly after
-    // lock acquisition, strictly before write-back.
-    stm.runtime().chaos().arm_panic(Site::ClockBump, 1);
-    let r = catch_unwind(AssertUnwindSafe(|| h.atomic(|tx| tx.write(0, 2))));
-    assert!(r.is_err(), "the armed panic must propagate");
-    assert!(
-        h.is_poisoned(),
-        "an unwind through commit condemns the handle"
-    );
-    assert_eq!(h.stats().panics_unwound, 1);
-    assert_eq!(
-        stm.locked_stripes(),
-        0,
-        "the commit guard must release every lock word on unwind"
-    );
-    assert!(!stm.runtime().epochs().is_active(0), "epoch slot exited");
-    // The runtime is untouched: another handle commits and fences.
-    let mut h2 = stm.handle(1);
-    h2.atomic(|tx| tx.write(0, 3));
-    h2.fence();
-    assert_eq!(stm.peek(0), 3);
-    // Using the condemned handle is a clear error, not UB.
-    let reuse = catch_unwind(AssertUnwindSafe(|| h.try_atomic(|tx| tx.read(0))));
-    assert!(reuse.is_err(), "a poisoned handle refuses further attempts");
+    for storage in [
+        StorageKind::PerRegister,
+        StorageKind::Striped { stripes: 4 },
+    ] {
+        let label = storage.label();
+        let stm = Tl2Stm::with_config(StmConfig::new(8, 2).storage(storage).chaos_off());
+        let mut h = stm.handle(0);
+        h.atomic(|tx| tx.write(0, 1));
+        assert!(!h.is_poisoned());
+        // The next writing commit panics at the clock bump — strictly after
+        // lock acquisition, strictly before write-back.
+        stm.runtime().chaos().arm_panic(Site::ClockBump, 1);
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            h.atomic(|tx| {
+                tx.write(0, 2)?;
+                tx.write(5, 2)
+            })
+        }));
+        assert!(r.is_err(), "[{label}] the armed panic must propagate");
+        assert!(
+            h.is_poisoned(),
+            "[{label}] an unwind through commit condemns the handle"
+        );
+        assert_eq!(h.stats().panics_unwound, 1);
+        assert_eq!(
+            stm.locked_stripes(),
+            0,
+            "[{label}] the commit guard must release every lock word on unwind"
+        );
+        assert!(!stm.runtime().epochs().is_active(0), "epoch slot exited");
+        // The runtime is untouched: another handle commits and fences.
+        let mut h2 = stm.handle(1);
+        h2.atomic(|tx| tx.write(0, 3));
+        h2.fence();
+        assert_eq!(stm.peek(0), 3);
+        // Using the condemned handle is a clear error, not UB.
+        let reuse = catch_unwind(AssertUnwindSafe(|| h.try_atomic(|tx| tx.read(0))));
+        assert!(
+            reuse.is_err(),
+            "[{label}] a poisoned handle refuses further attempts"
+        );
+    }
 }
 
 /// The retry budget: a transaction that keeps losing escalates to the
