@@ -12,23 +12,18 @@
 //!   odd-snapshot counter has moved. Precise: a thread that retires one
 //!   transaction and immediately starts another does not re-capture the
 //!   fence, so fences terminate even under continuous transaction traffic.
-//! * [`BoolTable`] — the paper's Fig 7 Boolean `active[t]` flags, kept for
-//!   fidelity to the figure only: nothing outside this file uses it (the
-//!   executable TL2 specification in `tm-lang` models the flags itself).
-//!   Under continuous traffic a fence may over-wait, because a freshly
-//!   started transaction makes `active[t]` true again before the fence
-//!   re-reads it; it still satisfies Def 2.1's fence clause.
 //! * [`GraceEngine`] — an asynchronous, *batched* grace-period engine over
 //!   an [`EpochTable`]: callers obtain a [`GraceTicket`] instead of
 //!   blocking, and every ticket issued during the same open period is
 //!   resolved by one shared scan of the epoch table — the `call_rcu` to
 //!   [`EpochTable::wait_quiescent`]'s `synchronize_rcu`. The engine is
 //!   also an *epoch-based reclamation* facility:
-//!   [`GraceEngine::defer_drop`] retires a heap allocation under the open
-//!   period, and the completing scan drops every retirement whose period
-//!   has elapsed (the `kfree_rcu` to `issue`'s `call_rcu`). Anything still
-//!   retired when the engine itself drops is freed then — exactly once in
-//!   every configuration.
+//!   [`GraceEngine::defer_drop`] (one allocation) and
+//!   [`GraceEngine::defer_drop_batch`] (one entry standing for `n` cells)
+//!   retire garbage under the open period, and the completing scan drops
+//!   every retirement whose period has elapsed (the `kfree_rcu` to
+//!   `issue`'s `call_rcu`). Anything still retired when the engine itself
+//!   drops is freed then — exactly once in every configuration.
 //! * [`GraceDriver`] — an *optional* background thread that retires grace
 //!   periods with **zero** pollers or waiters. Without a driver the engine
 //!   advances only cooperatively, so a fire-and-forget
@@ -67,6 +62,12 @@ use tm_telemetry::{EventKind, Telemetry};
 
 /// Per-thread epoch counters. Even values mean the slot is quiescent, odd
 /// values mean a critical section (transaction) is in progress.
+///
+/// Counters rather than the paper's Fig 7 Boolean `active[t]` flags: under
+/// continuous traffic a flag-based fence may over-wait, because a freshly
+/// started transaction makes `active[t]` true again before the fence
+/// re-reads it (it still satisfies Def 2.1's fence clause); a counter that
+/// moved at all has provably left the snapshotted critical section.
 pub struct EpochTable {
     epochs: Box<[CachePadded<AtomicU64>]>,
 }
@@ -152,9 +153,20 @@ impl EpochTable {
 /// A completion callback registered on a grace period.
 type Callback = Box<dyn FnOnce() + Send>;
 
-/// A retired heap allocation awaiting its grace period: dropping the box is
-/// the reclamation.
+/// Retired garbage awaiting its grace period: dropping the box is the
+/// reclamation.
 type Retired = Box<dyn Send>;
+
+/// One entry of the retire list.
+struct RetireEntry {
+    /// The period that was open at retirement; due once it completes.
+    period: u64,
+    /// How many cells `garbage` stands for (1 for a plain
+    /// [`GraceEngine::defer_drop`]) — the unit every retire counter uses.
+    cells: u64,
+    /// Held only to be dropped: its drop is the reclamation.
+    _garbage: Retired,
+}
 
 /// A [`GraceDriver`] tick hook: invoked once per driver wakeup (explicit or
 /// fallback tick), outside any engine lock. `Arc`ed so the driver thread
@@ -268,13 +280,14 @@ pub struct GraceEngine {
     stall_threshold_ns: AtomicU64,
     /// Total [`StallInfo`] reports raised (each slot at most once per scan).
     stall_reports: CachePadded<AtomicU64>,
-    /// Deferred-drop list: allocations retired via [`Self::defer_drop`],
-    /// each stamped with the period that was open at retirement. Collected
-    /// by the completing scan; whatever remains drops with the engine.
-    retired: Mutex<Vec<(u64, Retired)>>,
-    /// Total allocations ever retired through [`Self::defer_drop`].
+    /// Deferred-drop list: garbage retired via
+    /// [`Self::defer_drop_batch`], each entry stamped with the period that
+    /// was open at retirement. Collected by the completing scan; whatever
+    /// remains drops with the engine.
+    retired: Mutex<Vec<RetireEntry>>,
+    /// Total cells ever retired.
     retired_total: CachePadded<AtomicU64>,
-    /// Total retired allocations dropped by collection passes (excludes
+    /// Total retired cells dropped by collection passes (excludes
     /// leftovers freed at engine drop).
     collected_total: CachePadded<AtomicU64>,
     /// Collection passes that actually dropped something — with
@@ -421,12 +434,21 @@ impl GraceEngine {
         }
     }
 
-    /// Retire a heap allocation through the engine: `garbage` is stamped
-    /// with the open period and dropped by the first scan to complete it —
-    /// i.e. only after every critical section active *now* has exited, so
-    /// in-epoch readers still dereferencing the allocation stay safe. This
-    /// is the epoch-based-reclamation face of the engine: the `kfree_rcu`
-    /// to [`Self::issue`]'s `call_rcu`.
+    /// Retire one heap allocation through the engine:
+    /// [`Self::defer_drop_batch`] with a cell count of 1.
+    pub fn defer_drop(&self, garbage: Retired) {
+        self.defer_drop_batch(garbage, 1);
+    }
+
+    /// Retire `garbage`, standing for `cells` reclaimable cells (a caller
+    /// that parks displaced cells locally hands them over as one box): it
+    /// is stamped with the open period and dropped by the first scan to
+    /// complete it — i.e. only after every critical section active *now*
+    /// has exited, so in-epoch readers still dereferencing a cell stay
+    /// safe. This is the epoch-based-reclamation face of the engine: the
+    /// `kfree_rcu` to [`Self::issue`]'s `call_rcu`. One list entry, one
+    /// lock acquisition and one counter bump per call, however many cells;
+    /// every retire counter counts cells.
     ///
     /// Never blocks beyond the retire-list mutex. Retirement counts as
     /// pending work ([`Self::has_pending`]), so an attached [`GraceDriver`]
@@ -434,59 +456,59 @@ impl GraceEngine {
     /// it is collected by whichever caller next completes a scan, and at
     /// the latest when the engine drops. Either way each retired box is
     /// dropped exactly once.
-    pub fn defer_drop(&self, garbage: Retired) {
+    pub fn defer_drop_batch(&self, garbage: Retired, cells: u64) {
         let period = self.open.load(Ordering::SeqCst);
-        self.retired.lock().unwrap().push((period, garbage));
-        self.retired_total.fetch_add(1, Ordering::SeqCst);
+        self.retired.lock().unwrap().push(RetireEntry {
+            period,
+            cells,
+            _garbage: garbage,
+        });
+        self.retired_total.fetch_add(cells, Ordering::SeqCst);
         // Mirror `issue`: raise the pending view so a driver (or drop
         // drain) knows reclamation work is outstanding, and wake it.
         self.issued.fetch_max(period, Ordering::SeqCst);
         self.notify_driver();
     }
 
-    /// Total allocations ever retired through [`Self::defer_drop`].
+    /// Total cells ever retired through [`Self::defer_drop`] /
+    /// [`Self::defer_drop_batch`].
     pub fn retired_boxes(&self) -> u64 {
         self.retired_total.load(Ordering::SeqCst)
     }
 
-    /// Total retired allocations dropped by collection passes so far.
+    /// Total retired cells dropped by collection passes so far.
     pub fn collected_boxes(&self) -> u64 {
         self.collected_total.load(Ordering::SeqCst)
     }
 
-    /// Collection passes that dropped at least one retired allocation.
+    /// Collection passes that dropped at least one retired entry.
     /// `retired_boxes / collect_passes` is the reclamation batching factor.
     pub fn collect_passes(&self) -> u64 {
         self.collect_passes.load(Ordering::SeqCst)
     }
 
-    /// Retired allocations still awaiting their grace period.
+    /// Retired cells still awaiting their grace period.
     pub fn retired_pending(&self) -> usize {
-        self.retired.lock().unwrap().len()
+        let retired = self.retired.lock().unwrap();
+        retired.iter().map(|e| e.cells).sum::<u64>() as usize
     }
 
     /// Drop every retirement whose period has completed. Runs on the scan
-    /// completion path (and is cheap to call anytime): take the list under
-    /// its lock, keep the not-yet-due entries, drop the due ones *outside*
-    /// the lock — a retired value's own drop may retire more.
+    /// completion path (and is cheap to call anytime): extract the due
+    /// entries in place under the lock — nothing is allocated when nothing
+    /// is due, and the list keeps its capacity — then drop them *outside*
+    /// the lock, since a retired value's own drop may retire more.
     fn collect_retired(&self) {
-        let due: Vec<(u64, Retired)> = {
+        let due: Vec<RetireEntry> = {
             let mut retired = self.retired.lock().unwrap();
-            if retired.is_empty() {
-                return;
-            }
             let completed = self.completed();
-            let (due, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut *retired)
-                .into_iter()
-                .partition(|(p, _)| *p <= completed);
-            *retired = keep;
-            due
+            retired.extract_if(.., |e| e.period <= completed).collect()
         };
         if due.is_empty() {
             return;
         }
         self.collected_total
-            .fetch_add(due.len() as u64, Ordering::SeqCst);
+            .fetch_add(due.iter().map(|e| e.cells).sum(), Ordering::SeqCst);
         self.collect_passes.fetch_add(1, Ordering::SeqCst);
         drop(due);
     }
@@ -1000,69 +1022,6 @@ impl Drop for GraceDriver {
     }
 }
 
-/// The paper's Boolean `active[NThreads]` table (Fig 7).
-pub struct BoolTable {
-    active: Box<[CachePadded<AtomicBool>]>,
-}
-
-impl BoolTable {
-    /// A table with `nthreads` flags, all clear.
-    pub fn new(nthreads: usize) -> Self {
-        let active = (0..nthreads)
-            .map(|_| CachePadded::new(AtomicBool::new(false)))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        BoolTable { active }
-    }
-
-    /// Number of thread slots in the table.
-    pub fn nthreads(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Raise thread `t`'s active flag.
-    #[inline]
-    pub fn set(&self, t: usize) {
-        self.active[t].store(true, Ordering::SeqCst);
-    }
-
-    /// Clear thread `t`'s active flag.
-    #[inline]
-    pub fn clear(&self, t: usize) {
-        self.active[t].store(false, Ordering::SeqCst);
-    }
-
-    /// Is thread `t`'s flag currently set?
-    #[inline]
-    pub fn is_active(&self, t: usize) -> bool {
-        self.active[t].load(Ordering::SeqCst)
-    }
-
-    /// Fig 7 fence: record which flags are set, then wait for each recorded
-    /// flag to be observed clear at least once.
-    pub fn wait_quiescent(&self, exclude: Option<usize>) {
-        let r: Vec<bool> = self
-            .active
-            .iter()
-            .map(|f| f.load(Ordering::SeqCst))
-            .collect();
-        for (t, &was_active) in r.iter().enumerate() {
-            if Some(t) == exclude || !was_active {
-                continue;
-            }
-            let mut spins = 0u32;
-            while self.active[t].load(Ordering::SeqCst) {
-                spins += 1;
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1190,37 +1149,6 @@ mod tests {
         // Filter says "don't wait for slot 0": returns despite activity.
         t.wait_quiescent_filtered(None, |s| s != 0);
         t.exit(0);
-    }
-
-    #[test]
-    fn bool_table_basics() {
-        let t = BoolTable::new(2);
-        assert!(!t.is_active(0));
-        t.set(0);
-        assert!(t.is_active(0));
-        t.wait_quiescent(Some(0));
-        t.clear(0);
-        t.wait_quiescent(None);
-        assert_eq!(t.nthreads(), 2);
-    }
-
-    #[test]
-    fn bool_table_grace_period() {
-        let table = Arc::new(BoolTable::new(2));
-        table.set(0);
-        let done = Arc::new(AtomicBool::new(false));
-        let fencer = {
-            let table = Arc::clone(&table);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                table.wait_quiescent(Some(1));
-                assert!(done.load(Ordering::SeqCst));
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        done.store(true, Ordering::SeqCst);
-        table.clear(0);
-        fencer.join().unwrap();
     }
 
     #[test]
@@ -1676,17 +1604,74 @@ mod tests {
         assert_eq!(eng.collected_boxes(), 1);
     }
 
+    /// `n` drop-counting cells as one piece of garbage.
+    fn counted_batch(drops: &Arc<AtomicUsize>, n: usize) -> Retired {
+        let cells: Vec<_> = (0..n).map(|_| CountedDrop(Arc::clone(drops))).collect();
+        Box::new(cells)
+    }
+
     /// Whatever is still retired when the engine drops is freed then —
-    /// exactly once, never leaked.
+    /// exactly once, never leaked — single boxes and batches alike.
     #[test]
     fn engine_drop_frees_uncollected_retirements() {
         let eng = GraceEngine::new(2);
         let drops = Arc::new(AtomicUsize::new(0));
         eng.defer_drop(Box::new(CountedDrop(Arc::clone(&drops))));
         eng.defer_drop(Box::new(CountedDrop(Arc::clone(&drops))));
+        eng.defer_drop_batch(counted_batch(&drops, 3), 3);
         assert_eq!(drops.load(Ordering::SeqCst), 0, "nobody drove a scan");
+        assert_eq!(eng.retired_pending(), 5);
         drop(eng);
-        assert_eq!(drops.load(Ordering::SeqCst), 2, "freed with the engine");
+        assert_eq!(drops.load(Ordering::SeqCst), 5, "freed with the engine");
+    }
+
+    /// Every retire counter counts cells: a batch entry weighs its `n`, a
+    /// plain `defer_drop` weighs 1, and a pass is one pass however many
+    /// cells it frees.
+    #[test]
+    fn retire_counters_count_cells_across_mixed_entries() {
+        let eng = GraceEngine::new(2);
+        let drops = Arc::new(AtomicUsize::new(0));
+        eng.defer_drop(Box::new(CountedDrop(Arc::clone(&drops))));
+        eng.defer_drop_batch(counted_batch(&drops, 5), 5);
+        eng.defer_drop_batch(counted_batch(&drops, 64), 64);
+        assert_eq!(eng.retired_boxes(), 70);
+        assert_eq!(eng.retired_pending(), 70);
+        assert_eq!(eng.collected_boxes(), 0);
+        eng.issue().wait();
+        assert_eq!(drops.load(Ordering::SeqCst), 70);
+        assert_eq!(eng.collected_boxes(), 70);
+        assert_eq!(eng.collect_passes(), 1, "three entries, one pass");
+        assert_eq!(eng.retired_pending(), 0);
+    }
+
+    /// A collection pass extracts only what is due: an entry stamped with
+    /// the period *after* the completing one stays listed, uncounted and
+    /// undropped, until its own period completes.
+    #[test]
+    fn a_not_yet_due_entry_survives_a_collection_pass() {
+        let eng = GraceEngine::new(2);
+        let drops = Arc::new(AtomicUsize::new(0));
+        eng.epochs().enter(0);
+        eng.defer_drop_batch(counted_batch(&drops, 3), 3);
+        let first = eng.issue();
+        // Closes period 1; its scan now pends on slot 0, so period 2 is
+        // open and stamps the next retirement.
+        assert!(!first.poll());
+        eng.defer_drop_batch(counted_batch(&drops, 2), 2);
+        eng.epochs().exit(0);
+        first.wait();
+        assert_eq!(drops.load(Ordering::SeqCst), 3, "only period 1 was due");
+        assert_eq!(eng.collected_boxes(), 3);
+        assert_eq!(eng.retired_pending(), 2, "the period-2 entry survived");
+        // A pass with nothing due changes nothing.
+        eng.collect_retired();
+        assert_eq!((eng.collect_passes(), eng.retired_pending()), (1, 2));
+        eng.issue().wait();
+        assert_eq!(drops.load(Ordering::SeqCst), 5);
+        assert_eq!((eng.collected_boxes(), eng.collect_passes()), (5, 2));
+        drop(eng);
+        assert_eq!(drops.load(Ordering::SeqCst), 5, "nothing dropped twice");
     }
 
     /// Many threads hammering enter/exit while a fencer loops: smoke test

@@ -43,14 +43,16 @@
 //!   anomalies of the paper's Fig 1 — with the fence, privatization is safe
 //!   (the paper's DRF discipline).
 //! * [`tvar`] — the typed frontend: [`tvar::TVar<T>`] cells mapped onto
-//!   runtime registers (the register holds a pointer to an `Arc`-boxed
-//!   value), [`tvar::TypedHandle::atomically`] with `?` propagation and
-//!   [`tvar::Transaction::or`]/`optionally` combinators, and blocking
-//!   [`tvar::Transaction::retry`] — sleep on the read set, woken by any
-//!   conflicting commit. Old value boxes displaced at commit are retired
-//!   through the grace engine's epoch-based reclamation
-//!   ([`tm_quiesce::GraceEngine::defer_drop`]): the paper's "privatization
-//!   safety is safe reclamation", used as the typed layer's memory manager.
+//!   runtime registers (the register holds the thin address of the
+//!   value's `Box<T>`), [`tvar::TypedHandle::atomically`] with `?`
+//!   propagation and [`tvar::Transaction::or`]/`optionally` combinators,
+//!   and blocking [`tvar::Transaction::retry`] — sleep on the read set,
+//!   woken by any conflicting commit. Old value boxes displaced at commit
+//!   are retired, a per-handle batch at a time, through the grace engine's
+//!   epoch-based reclamation
+//!   ([`tm_quiesce::GraceEngine::defer_drop_batch`]): the paper's
+//!   "privatization safety is safe reclamation", used as the typed layer's
+//!   memory manager.
 //! * [`norec`] — a NOrec-style STM (related work \[10\]): privatization-safe
 //!   without fences; the comparison point for the fence-cost benchmarks.
 //! * [`glock`] — single-global-lock STM: the trivially strongly atomic

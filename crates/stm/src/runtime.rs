@@ -21,6 +21,7 @@ use crate::clock::ClockKind;
 use crate::fence::{FenceTicket, FenceTimeout};
 use crate::record::Recorder;
 use crate::storage::{splitmix64, StorageKind};
+use crate::tvar::OwnedCell;
 use crate::vlock::{reg_file, RegCell};
 use crossbeam::utils::CachePadded;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -808,6 +809,19 @@ pub enum FenceMode {
     Immediate,
 }
 
+/// How many displaced [`crate::tvar`] cells a [`Handle`] parks before
+/// handing them to the grace engine as one retire entry. A constant, not a
+/// knob: it bounds the dead values an idle handle keeps alive (one fewer
+/// than this) and the commits that share one trip to the engine's lock.
+pub const RETIRE_BATCH: usize = 64;
+
+/// The displaced typed cells parked on one handle: the garbage of one
+/// [`GraceEngine::defer_drop_batch`] entry, dropped cell by cell.
+struct DisplacedBatch {
+    len: usize,
+    cells: [Option<OwnedCell>; RETIRE_BATCH],
+}
+
 /// A per-thread STM handle: a [`Policy`] bound to a [`Runtime`] slot.
 /// Implements [`StmHandle`] for every policy at once.
 pub struct Handle<P: Policy> {
@@ -838,7 +852,20 @@ pub struct Handle<P: Policy> {
     /// Attempts to skip before the next sampled one; a fresh handle's
     /// first attempt is sampled.
     sample_skip: u32,
+    /// Cells the typed frontend's commits on this handle displaced, not yet
+    /// handed to the grace engine (see [`Self::park_displaced`]). Boxed and
+    /// allocated on first use: an untyped handle never pays for it, and the
+    /// 1 KiB array stays off the lines `atomic` touches.
+    displaced: Option<Box<DisplacedBatch>>,
     policy: P,
+}
+
+impl<P: Policy> Drop for Handle<P> {
+    fn drop(&mut self) {
+        // The last flush point: nothing parked here may outlive the handle
+        // unretired (the engine frees it at its own drop at the latest).
+        self.flush_displaced();
+    }
 }
 
 impl<P: Policy> Handle<P> {
@@ -860,6 +887,7 @@ impl<P: Policy> Handle<P> {
             poisoned: false,
             tx_started: None,
             sample_skip: 0,
+            displaced: None,
             policy,
         }
     }
@@ -898,6 +926,36 @@ impl<P: Policy> Handle<P> {
     /// counter the shared `atomic` loop uses.
     pub(crate) fn note_retry(&mut self) {
         self.stats.retries += 1;
+    }
+
+    /// Crate-internal: park a cell a typed commit on this handle just
+    /// displaced. Parked cells reach the grace engine as **one** retire
+    /// entry at three flush points — [`RETIRE_BATCH`] cells parked, any
+    /// fence issued through this handle, the handle's drop — so the commit
+    /// path itself touches no shared line. The entry is stamped with the
+    /// period open at the flush, later than each cell's displacement:
+    /// every reader that could still hold a cell was already in its epoch
+    /// then, so the later stamp only over-waits.
+    pub(crate) fn park_displaced(&mut self, cell: OwnedCell) {
+        let batch = self.displaced.get_or_insert_with(|| {
+            Box::new(DisplacedBatch {
+                len: 0,
+                cells: [const { None }; RETIRE_BATCH],
+            })
+        });
+        batch.cells[batch.len] = Some(cell);
+        batch.len += 1;
+        if batch.len == RETIRE_BATCH {
+            self.flush_displaced();
+        }
+    }
+
+    /// Hand every parked cell to the grace engine (no-op when none is).
+    fn flush_displaced(&mut self) {
+        if let Some(batch) = self.displaced.take() {
+            let cells = batch.len as u64;
+            self.rt.grace.defer_drop_batch(batch, cells);
+        }
     }
 
     #[inline]
@@ -1422,6 +1480,10 @@ impl<P: Policy> StmHandle for Handle<P> {
     }
 
     fn fence_async(&mut self) -> FenceTicket {
+        // Before the period stamp: the period this fence joins then covers
+        // every cell this handle displaced earlier, so joining the fence
+        // means they are collected.
+        self.flush_displaced();
         self.stats.fences += 1;
         match self.policy.fence_mode() {
             FenceMode::Immediate => FenceTicket::immediate(),

@@ -6,23 +6,33 @@
 //! module maps *typed heap values* onto that register file without touching
 //! any policy:
 //!
-//! * A [`TVar<T>`] owns one register. The register's `u64` holds the
-//!   address of a heap cell (`Box<SlotBox>`) whose payload is an
-//!   `Arc<dyn Any + Send + Sync>` of the current value. Transactional reads
-//!   and writes of the *pointer* go through the ordinary [`TxScope`]
-//!   machinery, so every backend (TL2, NOrec, glock), clock discipline,
-//!   storage layout, and the contention governor work underneath unchanged.
-//! * Writes are buffered in the [`Transaction`] and flushed to the scope
-//!   only when the body returns `Ok` — which is what makes
-//!   [`Transaction::or`] a cheap snapshot/rollback and keeps fresh
-//!   allocations out of aborted bodies entirely.
-//! * A successful commit *replaces* pointers; the displaced boxes are
-//!   retired through [`tm_quiesce::GraceEngine::defer_drop`] — epoch-based
-//!   reclamation. An in-flight reader that still holds a displaced pointer
-//!   is inside its transaction's epoch, and the grace period the retirement
-//!   waits on cannot elapse until that reader exits: privatization safety
-//!   *is* safe reclamation (the paper's core claim), here as the memory
-//!   manager of the typed frontend.
+//! * A [`TVar<T>`] owns one register, whose `u64` is the *thin* address of
+//!   a `Box<T>` — the type is known at every `TVar<T>` call site, so a read
+//!   is one pointer chase and one `T::clone`, and type-erased teardown
+//!   carries a monomorphised `unsafe fn(u64)` beside the address.
+//!   Transactional reads and writes of the *pointer* go through the
+//!   ordinary [`TxScope`] machinery, so every backend (TL2, NOrec, glock),
+//!   clock discipline, storage layout, and the contention governor work
+//!   underneath unchanged.
+//! * Writes are buffered in the [`Transaction`], each value boxed once and
+//!   the box *owned by the buffer*, and flushed to the scope only when the
+//!   body returns `Ok` — which makes [`Transaction::or`] a cheap
+//!   snapshot/rollback. Registers take ownership only once the commit has
+//!   succeeded; an aborted, rolled-back or panicking attempt just drops its
+//!   buffer. The buffers are per-handle scratch, cleared not allocated per
+//!   attempt, so a commit's one allocation is the value's `Box`.
+//! * A successful commit *replaces* pointers, and the displaced boxes are
+//!   reclaimed by epoch: a reader still holding a displaced pointer is
+//!   inside its transaction's epoch, and the grace period the retirement
+//!   waits on cannot elapse until it exits — privatization safety *is* safe
+//!   reclamation (the paper's core claim), here as a memory manager.
+//!   Displaced cells park on the committing handle, off every shared line,
+//!   and reach [`tm_quiesce::GraceEngine::defer_drop_batch`] as **one**
+//!   retire entry at three flush points: [`RETIRE_BATCH`] cells parked; any
+//!   fence through the handle, typed or [`TypedHandle::inner`] (the period
+//!   it joins then covers every earlier displacement); the handle's drop.
+//!   A later stamp only over-waits; the price is up to `RETIRE_BATCH - 1`
+//!   dead values per idle handle.
 //!
 //! ## Blocking `retry`
 //!
@@ -40,81 +50,76 @@
 //! ruled out by the register-then-validate order (see `Runtime::store`).
 //! Slept time lands in the `retry-sleep` latency histogram and each wake is
 //! traced as [`EventKind::RetryWake`].
+//!
+//! [`RETIRE_BATCH`]: crate::runtime::RETIRE_BATCH
 
 use crate::api::{Abort, StmHandle, TxScope};
-use crate::runtime::{Handle, PolicyKind, RetryWaiter, Runtime, Stm, StmConfig};
+use crate::runtime::{Handle, Policy, PolicyKind, RetryWaiter, Runtime, Stm, StmConfig};
 use std::any::Any;
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tm_telemetry::{EventKind, LatencyClass};
 
-/// A typed value as stored behind a register: the register's `u64` is the
-/// address of one of these. The indirection through `Box` exists because
-/// `Arc<dyn Any>` is a fat pointer and the register holds only 64 bits.
-struct SlotBox {
-    value: Arc<dyn Any + Send + Sync>,
+/// An owned, type-erased `Box<T>`: the thin address a register holds, plus
+/// the teardown monomorphised for `T`. Dropping it frees the box.
+pub(crate) struct OwnedCell {
+    bits: u64,
+    drop: unsafe fn(u64),
 }
 
-impl SlotBox {
-    /// Heap-allocate a cell for `value` and return its address as register
-    /// bits. Never zero (a real allocation), so `0` stays the "no typed
-    /// value" sentinel.
-    fn publish(value: Arc<dyn Any + Send + Sync>) -> u64 {
-        Box::into_raw(Box::new(SlotBox { value })) as usize as u64
+impl OwnedCell {
+    /// Box `value`. The address is never zero (a `Box` is non-null), so `0`
+    /// stays the "no typed value" sentinel of a register.
+    fn new<T: Send + Sync + 'static>(value: T) -> Self {
+        /// # Safety
+        /// `bits` must be the address of a live `Box<T>` nothing else owns.
+        unsafe fn drop_box<T>(bits: u64) {
+            drop(Box::from_raw(bits as usize as *mut T));
+        }
+        OwnedCell {
+            bits: Box::into_raw(Box::new(value)) as usize as u64,
+            drop: drop_box::<T>,
+        }
     }
 
-    /// Re-own the cell at `bits` for dropping.
+    /// Trade boxes with a register: give this one up and own `old` instead.
     ///
     /// # Safety
-    /// `bits` must be an address produced by [`SlotBox::publish`] that no
-    /// register holds any more and that was not already reclaimed.
-    unsafe fn reclaim(bits: u64) -> Box<SlotBox> {
-        Box::from_raw(bits as usize as *mut SlotBox)
-    }
-
-    /// Clone the payload `Arc` out of the cell at `bits`.
-    ///
-    /// # Safety
-    /// The caller must be inside a transaction epoch and have obtained
-    /// `bits` from a policy-validated read in that same attempt: the cell
-    /// is then pinned (its retirement's grace period waits for our epoch
-    /// exit), and the cloned `Arc` keeps the payload alive past it.
-    unsafe fn value_at(bits: u64) -> Arc<dyn Any + Send + Sync> {
-        debug_assert!(bits != 0, "typed read of an unpublished register");
-        let cell = bits as usize as *const SlotBox;
-        Arc::clone(&(*cell).value)
+    /// A register of this box's type must have taken this box over from
+    /// `old`, which nothing else owns any more.
+    unsafe fn exchange(mut self, old: u64) -> Self {
+        self.bits = old;
+        self
     }
 }
+
+impl Drop for OwnedCell {
+    fn drop(&mut self) {
+        // SAFETY: by construction (`new`, or `exchange`'s contract) `bits`
+        // is a live `Box<T>` this cell alone owns and `drop` is `T`'s
+        // teardown. A cell whose box a register took over is forgotten.
+        unsafe { (self.drop)(self.bits) }
+    }
+}
+
+// SAFETY: an `OwnedCell` *is* a `Box<T>` with `T: Send + Sync` (bounded by
+// `new`, kept by `exchange`) spelled as an integer and a fn pointer: moving
+// it moves the box, and the thread that drops it drops the `T`.
+unsafe impl Send for OwnedCell {}
 
 /// The slot space of one [`TypedStm`]: a contiguous run of registers
 /// managed as typed cells. Owns the *current* box of every allocated
-/// register; displaced boxes belong to the grace engine, and both free
-/// their side exactly once.
+/// register; displaced boxes belong to the handle that displaced them and
+/// then to the grace engine, and each side frees its own exactly once.
 pub struct VarSpace {
     rt: Arc<Runtime>,
-    /// First register of the typed run.
+    /// First register of the typed run, which extends to the file's end.
     base: usize,
-    /// Next unallocated register (`base..next` are live typed cells).
-    next: AtomicUsize,
-    /// One past the last register this space may allocate.
-    limit: usize,
-}
-
-impl VarSpace {
-    /// Allocate the next register and publish `init` into it.
-    fn alloc(&self, init: Arc<dyn Any + Send + Sync>) -> usize {
-        let reg = self.next.fetch_add(1, Ordering::SeqCst);
-        assert!(
-            reg < self.limit,
-            "typed register space exhausted: {reg} >= limit {}",
-            self.limit
-        );
-        self.rt.store(reg, SlotBox::publish(init));
-        reg
-    }
+    /// The teardown of each allocated register's value type, in register
+    /// order from `base` (so its length is the allocation count).
+    teardowns: Mutex<Vec<unsafe fn(u64)>>,
 }
 
 impl Drop for VarSpace {
@@ -123,13 +128,17 @@ impl Drop for VarSpace {
         // these registers any more. Reset each register to 0 (so a later
         // u64-level inspection of the shared runtime sees a deterministic
         // value, not a dangling address) and free its current box. Boxes
-        // this space displaced earlier are the grace engine's to free.
-        let end = *self.next.get_mut();
-        for reg in self.base..end {
+        // this space displaced earlier are their handle's or the grace
+        // engine's to free.
+        let teardowns = std::mem::take(self.teardowns.get_mut().unwrap());
+        for (reg, teardown) in (self.base..).zip(teardowns) {
             let bits = self.rt.load(reg);
             if bits != 0 {
                 self.rt.store(reg, 0);
-                drop(unsafe { SlotBox::reclaim(bits) });
+                // SAFETY: `reg` was allocated with this teardown's type and
+                // only `TVar<T>` commits of that type replace its box; the
+                // register was its one owner and has just let go of it.
+                unsafe { teardown(bits) };
             }
         }
     }
@@ -140,7 +149,7 @@ impl Drop for VarSpace {
 pub struct TVar<T> {
     space: Arc<VarSpace>,
     reg: usize,
-    _marker: PhantomData<fn() -> T>,
+    _marker: PhantomData<fn(T) -> T>, // invariant: read *and* written as exactly `T`
 }
 
 // Manual impl: `#[derive(Clone)]` would demand `T: Clone` on the *handle*,
@@ -210,36 +219,37 @@ pub enum RetryStrategy {
     Spin,
 }
 
+/// One buffered typed write.
+struct Write {
+    reg: usize,
+    /// The new value's box — the buffer's until the commit has succeeded.
+    cell: OwnedCell,
+    /// Set by [`flush`] on the *winning* (last) write to `reg`: the address
+    /// that write displaces if the attempt commits.
+    displaced: Option<u64>,
+}
+
 /// One typed transaction attempt: the view the body closure works with.
 ///
 /// Reads go through the underlying [`TxScope`] (policy-validated) and are
 /// remembered as the *watch set* for blocking retry; writes are buffered
-/// here and flushed only if the body returns `Ok`.
+/// (in scratch the handle lends) and flushed only if the body returns `Ok`.
 pub struct Transaction<'a> {
     scope: &'a mut dyn TxScope,
-    /// Identity of the [`VarSpace`] this transaction may touch.
-    space_ptr: *const VarSpace,
+    /// The [`VarSpace`] this transaction may touch.
+    space: &'a VarSpace,
     /// Policy-validated pointer reads: `(register, observed bits)`, in
     /// order. Doubles as the blocking-retry watch set.
-    reads: Vec<(usize, u64)>,
+    reads: &'a mut Vec<(usize, u64)>,
     /// Buffered typed writes, in program order; later writes to the same
     /// register supersede earlier ones at flush.
-    writes: Vec<(usize, Arc<dyn Any + Send + Sync>)>,
+    writes: &'a mut Vec<Write>,
 }
 
 impl<'a> Transaction<'a> {
-    fn new(scope: &'a mut dyn TxScope, space: &VarSpace) -> Self {
-        Transaction {
-            scope,
-            space_ptr: space as *const VarSpace,
-            reads: Vec::new(),
-            writes: Vec::new(),
-        }
-    }
-
     fn check_space<T>(&self, var: &TVar<T>) {
         assert!(
-            std::ptr::eq(Arc::as_ptr(&var.space), self.space_ptr),
+            std::ptr::eq(Arc::as_ptr(&var.space), self.space),
             "TVar belongs to a different TypedStm instance"
         );
     }
@@ -249,21 +259,21 @@ impl<'a> Transaction<'a> {
     pub fn read<T: Any + Clone + Send + Sync>(&mut self, var: &TVar<T>) -> StmResult<T> {
         self.check_space(var);
         // Read-after-write: the body must see its own buffered writes.
-        if let Some((_, v)) = self.writes.iter().rev().find(|(r, _)| *r == var.reg) {
-            let arc = Arc::clone(v)
-                .downcast::<T>()
-                .unwrap_or_else(|_| unreachable!("TVar register holds a foreign type"));
-            return Ok((*arc).clone());
-        }
-        let bits = self.scope.read(var.reg)?;
-        self.reads.push((var.reg, bits));
-        // SAFETY: `bits` is a policy-validated read inside the open
-        // attempt's epoch; see `SlotBox::value_at`.
-        let value = unsafe { SlotBox::value_at(bits) };
-        let arc = value
-            .downcast::<T>()
-            .unwrap_or_else(|_| unreachable!("TVar register holds a foreign type"));
-        Ok((*arc).clone())
+        let bits = match self.writes.iter().rev().find(|w| w.reg == var.reg) {
+            Some(w) => w.cell.bits,
+            None => {
+                let bits = self.scope.read(var.reg)?;
+                self.reads.push((var.reg, bits));
+                bits
+            }
+        };
+        // SAFETY: `var` (checked: of this space) fixes its register's value
+        // type to `T`. `bits` is either a box this attempt's write buffer
+        // owns, or what the register held at a policy-validated read inside
+        // the open attempt's epoch: it was displaced, if at all, after we
+        // entered, so the grace period its retirement waits on cannot
+        // elapse before this attempt ends — and the clone is done by then.
+        Ok(unsafe { &*(bits as usize as *const T) }.clone())
     }
 
     /// Buffer a write of `value` into `var`, visible to this transaction's
@@ -274,7 +284,11 @@ impl<'a> Transaction<'a> {
         value: T,
     ) -> StmResult<()> {
         self.check_space(var);
-        self.writes.push((var.reg, Arc::new(value)));
+        self.writes.push(Write {
+            reg: var.reg,
+            cell: OwnedCell::new(value),
+            displaced: None,
+        });
         Ok(())
     }
 
@@ -360,15 +374,23 @@ impl<K: PolicyKind> TypedStm<K> {
         let space = Arc::new(VarSpace {
             rt,
             base,
-            next: AtomicUsize::new(base),
-            limit,
+            teardowns: Mutex::new(Vec::new()),
         });
         TypedStm { stm, space }
     }
 
     /// Allocate a typed variable initialized to `init`.
     pub fn new_tvar<T: Any + Clone + Send + Sync>(&self, init: T) -> TVar<T> {
-        let reg = self.space.alloc(Arc::new(init));
+        let init = OwnedCell::new(init);
+        let mut teardowns = self.space.teardowns.lock().unwrap();
+        let (reg, limit) = (self.space.base + teardowns.len(), self.space.rt.nregs());
+        assert!(
+            reg < limit,
+            "typed register space exhausted: {reg} >= limit {limit}"
+        );
+        teardowns.push(init.drop);
+        self.space.rt.store(reg, init.bits);
+        std::mem::forget(init); // the register's now
         TVar {
             space: Arc::clone(&self.space),
             reg,
@@ -383,6 +405,8 @@ impl<K: PolicyKind> TypedStm<K> {
             h: self.stm.handle(slot),
             space: Arc::clone(&self.space),
             strategy: RetryStrategy::Block,
+            reads: Vec::new(),
+            writes: Vec::new(),
         }
     }
 
@@ -406,23 +430,26 @@ impl Drop for NestGuard {
     }
 }
 
-/// How one attempt of the typed loop ended, beyond the value itself.
-enum Flushed {
-    /// The body returned `Ok` and the pointer flush succeeded: `replaced`
-    /// are the old boxes (retire on commit success), `fresh` the new ones
-    /// (free if the commit itself fails — they were never published).
-    Committed { replaced: Vec<u64>, fresh: Vec<u64> },
-    /// The body called `retry` and validation found the watch set intact:
-    /// sleep on the waiter, then re-run.
-    Sleep { waiter: Arc<RetryWaiter> },
-}
-
 /// A per-thread typed handle: [`TypedHandle::atomically`] over one
 /// [`Handle`]. `Send` but not `Sync`, like the handle it wraps.
 pub struct TypedHandle<K: PolicyKind> {
     h: Handle<K::Policy>,
     space: Arc<VarSpace>,
     strategy: RetryStrategy,
+    /// The buffers lent to each [`Transaction`]: cleared, not allocated,
+    /// per attempt.
+    reads: Vec<(usize, u64)>,
+    writes: Vec<Write>,
+}
+
+impl<K: PolicyKind> Drop for TypedHandle<K> {
+    fn drop(&mut self) {
+        // A panic inside commit may have half applied the write-back: leak
+        // the buffer rather than free a box some register already holds.
+        if self.h.is_poisoned() {
+            std::mem::forget(std::mem::take(&mut self.writes));
+        }
+    }
 }
 
 impl<K: PolicyKind> TypedHandle<K> {
@@ -444,11 +471,16 @@ impl<K: PolicyKind> TypedHandle<K> {
     /// propagating failures with `?`. [`StmError::Conflict`] re-runs with
     /// the shared exponential backoff; [`StmError::Retry`] re-runs when a
     /// watched register changes — parking the thread under
-    /// [`RetryStrategy::Block`]. Displaced value boxes are retired through
-    /// the grace engine ([`tm_quiesce::GraceEngine::defer_drop`]); boxes
-    /// created by an attempt whose commit failed are freed before the
-    /// re-run; a panic unwinds out with the attempt rolled back (the boxes
-    /// of a mid-flush panic leak rather than risk a double-free).
+    /// [`RetryStrategy::Block`].
+    ///
+    /// Each `write`'s box stays the write buffer's through flush and commit.
+    /// Once the commit has succeeded, every winning (last) write's box is
+    /// its register's, and the box it displaced parks on this handle until
+    /// a flush point — [`RETIRE_BATCH`](crate::runtime::RETIRE_BATCH) cells
+    /// parked, a fence through this handle, its drop — hands the batch to
+    /// the grace engine: an idle handle keeps at most `RETIRE_BATCH - 1`
+    /// dead values. Superseded writes and aborted, `or`-rolled-back or
+    /// panicking attempts just drop their boxes: none was ever published.
     ///
     /// # Panics
     /// On nested `atomically` on one thread, on `retry` with an empty read
@@ -466,65 +498,57 @@ impl<K: PolicyKind> TypedHandle<K> {
         });
         let _guard = NestGuard;
 
-        let space = Arc::clone(&self.space);
-        let strategy = self.strategy;
         let mut attempts: u32 = 0;
         loop {
-            // Stashed here (not threaded through the return value) so the
-            // commit-failed case still knows which fresh boxes to free.
-            let mut outcome: Option<Flushed> = None;
+            // Set when the body called `retry` and validation found the
+            // watch set intact: sleep on the waiter, then re-run.
+            let mut sleep: Option<Arc<RetryWaiter>> = None;
             let result = self.h.try_atomic(|scope| {
-                let mut tx = Transaction::new(scope, &space);
+                // Emptied here, not only on exit: an attempt that unwound
+                // with a panic leaves its buffers behind.
+                self.reads.clear();
+                self.writes.clear();
+                let mut tx = Transaction {
+                    scope,
+                    space: &self.space,
+                    reads: &mut self.reads,
+                    writes: &mut self.writes,
+                };
                 match body(&mut tx) {
-                    Ok(v) => {
-                        outcome = Some(flush(&mut tx)?);
-                        Ok(v)
-                    }
+                    Ok(v) => flush(&mut tx).map(|()| v),
                     Err(StmError::Conflict) => Err(Abort),
                     Err(StmError::Retry) => {
                         assert!(
                             !tx.reads.is_empty(),
                             "retry with an empty read set: nothing could ever wake this transaction"
                         );
-                        if strategy == RetryStrategy::Block {
-                            if let Some(waiter) = arm_retry_waiter(&space.rt, &mut tx) {
-                                outcome = Some(Flushed::Sleep { waiter });
-                            }
+                        if self.strategy == RetryStrategy::Block {
+                            sleep = arm_retry_waiter(&self.space.rt, &mut tx);
                         }
                         Err(Abort)
                     }
                 }
             });
-            match (result, outcome) {
-                (Ok(v), Some(Flushed::Committed { replaced, fresh })) => {
-                    // Published: the registers own `fresh` now; the
-                    // displaced boxes go to the grace engine, which frees
-                    // each exactly once after every reader that could hold
-                    // the old pointer has left its epoch.
-                    drop(fresh);
-                    for bits in replaced {
-                        space
-                            .rt
-                            .grace()
-                            .defer_drop(unsafe { SlotBox::reclaim(bits) });
+            match result {
+                Ok(v) => {
+                    for w in self.writes.drain(..) {
+                        // (A superseded write was never flushed: it drops.)
+                        if let Some(displaced) = w.displaced {
+                            // SAFETY: the commit validated the flush's read
+                            // of `displaced` in `w.reg` and replaced it with
+                            // this box: no register holds it any more, and
+                            // this committer alone retires it.
+                            self.h.park_displaced(unsafe { w.cell.exchange(displaced) });
+                        }
                     }
                     return v;
                 }
-                (Ok(_), _) => unreachable!("typed commit without a flush"),
-                (Err(Abort), flushed) => {
-                    if let Some(Flushed::Committed { fresh, .. }) = &flushed {
-                        // The commit itself failed: the write-back never
-                        // started (TL2/NOrec/glock fail only before it), so
-                        // the fresh boxes were never published — free them
-                        // here; the displaced ones still sit in their
-                        // registers, untouched.
-                        for &bits in fresh {
-                            drop(unsafe { SlotBox::reclaim(bits) });
-                        }
-                    }
+                Err(Abort) => {
+                    // No policy fails after its write-back: the new boxes drop.
+                    self.writes.clear();
                     self.h.note_retry();
-                    if let Some(Flushed::Sleep { waiter }) = flushed {
-                        self.sleep_on(&waiter);
+                    if let Some(waiter) = sleep {
+                        sleep_on(&mut self.h, &self.space.rt, &waiter);
                         attempts = 0; // woken by a real change, not a collision
                         continue;
                     }
@@ -534,66 +558,42 @@ impl<K: PolicyKind> TypedHandle<K> {
             }
         }
     }
+}
 
-    /// Park on `waiter` until a conflicting commit wakes it, then
-    /// deregister and record the slept time.
-    fn sleep_on(&mut self, waiter: &Arc<RetryWaiter>) {
-        let rt = Arc::clone(&self.space.rt);
-        let t0 = rt.telemetry().enabled().then(Instant::now);
-        let woke_reg = waiter.sleep();
-        rt.deregister_retry_waiter(waiter);
-        if let Some(t0) = t0 {
-            let woke = Instant::now();
-            let slept_ns = woke.duration_since(t0).as_nanos() as u64;
-            let slot = self.h.slot() as u16;
-            rt.telemetry()
-                .record_latency(slot, LatencyClass::RetrySleep, slept_ns);
-            let wake = EventKind::RetryWake {
-                reg: woke_reg as u64,
-                slept_ns,
-            };
-            rt.telemetry().record_event_at(slot, woke, wake);
-        }
+/// Park on `waiter` until a conflicting commit wakes it, then deregister
+/// and record the slept time.
+fn sleep_on<P: Policy>(h: &mut Handle<P>, rt: &Runtime, waiter: &Arc<RetryWaiter>) {
+    let t0 = rt.telemetry().enabled().then(Instant::now);
+    let woke_reg = waiter.sleep();
+    rt.deregister_retry_waiter(waiter);
+    if let Some(t0) = t0 {
+        let woke = Instant::now();
+        let slept_ns = woke.duration_since(t0).as_nanos() as u64;
+        let slot = h.slot() as u16;
+        rt.telemetry()
+            .record_latency(slot, LatencyClass::RetrySleep, slept_ns);
+        let wake = EventKind::RetryWake {
+            reg: woke_reg as u64,
+            slept_ns,
+        };
+        rt.telemetry().record_event_at(slot, woke, wake);
     }
 }
 
 /// Flush a committing body's buffered writes into the scope: per register
-/// (last write wins), capture the old pointer with a validated read, then
-/// write the fresh one. Any abort frees every fresh box already allocated
-/// by this flush — none were published.
-fn flush(tx: &mut Transaction<'_>) -> Result<Flushed, Abort> {
-    let mut replaced: Vec<u64> = Vec::new();
-    let mut fresh: Vec<u64> = Vec::new();
-    let free_fresh = |fresh: &mut Vec<u64>| {
-        for &bits in fresh.iter() {
-            drop(unsafe { SlotBox::reclaim(bits) });
-        }
-    };
-    let mut flushed_regs: Vec<usize> = Vec::new();
-    let writes = std::mem::take(&mut tx.writes);
-    for (i, (reg, value)) in writes.iter().enumerate() {
-        // Last write to a register wins; earlier ones never materialize.
-        if writes[i + 1..].iter().any(|(r, _)| r == reg) || flushed_regs.contains(reg) {
+/// (last write wins; earlier ones never materialize), capture the pointer
+/// it displaces with a validated read, then write the new one. The boxes
+/// stay the buffer's — an abort here publishes and frees nothing.
+fn flush(tx: &mut Transaction<'_>) -> Result<(), Abort> {
+    for i in 0..tx.writes.len() {
+        let reg = tx.writes[i].reg;
+        if tx.writes[i + 1..].iter().any(|w| w.reg == reg) {
             continue;
         }
-        flushed_regs.push(*reg);
-        let old = match tx.scope.read(*reg) {
-            Ok(bits) => bits,
-            Err(Abort) => {
-                free_fresh(&mut fresh);
-                return Err(Abort);
-            }
-        };
-        let new_bits = SlotBox::publish(Arc::clone(value));
-        if tx.scope.write(*reg, new_bits).is_err() {
-            drop(unsafe { SlotBox::reclaim(new_bits) });
-            free_fresh(&mut fresh);
-            return Err(Abort);
-        }
-        replaced.push(old);
-        fresh.push(new_bits);
+        tx.writes[i].displaced = Some(tx.scope.read(reg)?);
+        tx.scope.write(reg, tx.writes[i].cell.bits)?;
     }
-    Ok(Flushed::Committed { replaced, fresh })
+    Ok(())
 }
 
 /// The blocking half of `retry`: register a waiter on the watch set, then
@@ -604,7 +604,7 @@ fn flush(tx: &mut Transaction<'_>) -> Result<Flushed, Abort> {
 /// waiter; with registration ordered before validation, a commit that
 /// changes a watched register afterwards is guaranteed to see the waiter
 /// count and wake us (see `Runtime::store`).
-fn arm_retry_waiter(rt: &Arc<Runtime>, tx: &mut Transaction<'_>) -> Option<Arc<RetryWaiter>> {
+fn arm_retry_waiter(rt: &Runtime, tx: &mut Transaction<'_>) -> Option<Arc<RetryWaiter>> {
     let mut regs: Vec<usize> = tx.reads.iter().map(|&(r, _)| r).collect();
     regs.sort_unstable();
     regs.dedup();
@@ -627,7 +627,7 @@ mod tests {
     use super::*;
     use crate::runtime::DriverMode;
     use crate::tl2::Tl2Kind;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     type Tl2Typed = TypedStm<Tl2Kind>;
 
@@ -657,7 +657,10 @@ mod tests {
             tx.write(&v, 3)
         });
         assert_eq!(h.atomically(|tx| tx.read(&v)), 3);
-        // One register replaced once per commit: exactly one retirement.
+        // One register replaced once per commit: exactly one retirement,
+        // handed over when the handle drops. The two superseded boxes were
+        // the write buffer's and never reach the engine.
+        drop(h);
         assert_eq!(stm.stm().runtime().grace().retired_boxes(), 1);
     }
 

@@ -3,10 +3,13 @@
 //! of aborted or panicking bodies, boxes freed on failed commits — is
 //! dropped exactly once, under both driver modes. A leak leaves
 //! `created > dropped`; a double-drop overshoots (or crashes outright).
+//! (`tvar_alloc.rs` checks the same balance at the allocator, for value
+//! types that cannot count themselves.)
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use tm_stm::prelude::*;
 use tm_stm::tl2::Tl2Kind;
 use tm_stm::tvar::TypedStm;
@@ -142,6 +145,123 @@ fn lifecycle_drops_every_instance_once_cooperative() {
 #[test]
 fn lifecycle_drops_every_instance_once_background() {
     lifecycle_drops_every_instance_once(DriverMode::Background);
+}
+
+/// One space holding three value types, one handle driven through every
+/// way an attempt can end: a clean commit with superseded writes, an `or`
+/// rollback, a body panic after its writes, and a *commit-time* abort —
+/// forced by a channel handshake: the body reads `text`, a second thread
+/// commits to `text`, then the body writes `counted` only, so the flush
+/// succeeds (and records the box it would displace) and the commit's
+/// validation fails. The displaced box must survive that; the new one must
+/// not. Handles drop before the instance; every `Counted` comes back once.
+fn every_exit_tears_down_exactly_once(mode: DriverMode) {
+    let created = Arc::new(AtomicU64::new(0));
+    let dropped = Arc::new(AtomicU64::new(0));
+    let count = |n: u64| Counted::new(n, &created, &dropped);
+    {
+        let stm: TypedStm<Tl2Kind> = TypedStm::with_config(config(mode));
+        let counted = stm.new_tvar(count(0));
+        let text = stm.new_tvar(String::from("a"));
+        let queue = stm.new_tvar(VecDeque::<u64>::new());
+        let mut h = stm.handle(0);
+
+        h.atomically(|tx| {
+            tx.write(&counted, count(1))?; // superseded below
+            tx.write(&counted, count(2))?;
+            let mut t = tx.read(&text)?;
+            t.push('b');
+            tx.write(&text, t)?;
+            let mut q = tx.read(&queue)?;
+            q.push_back(7);
+            tx.write(&queue, q)
+        });
+
+        h.atomically(|tx| {
+            let (c, t, q) = (counted.clone(), text.clone(), queue.clone());
+            let (doomed, q2) = (count(99), queue.clone());
+            tx.or(
+                move |tx| {
+                    tx.write(&c, doomed)?;
+                    tx.write(&t, String::from("rolled back"))?;
+                    tx.write(&q, VecDeque::from([1, 2, 3]))?;
+                    tx.retry()
+                },
+                move |tx| {
+                    let mut q = tx.read(&q2)?;
+                    q.push_back(8);
+                    tx.write(&q2, q)
+                },
+            )
+        });
+
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            h.atomically(|tx| -> StmResult<()> {
+                tx.write(&counted, count(50))?;
+                tx.write(&text, String::from("doomed"))?;
+                panic!("injected body panic");
+            })
+        }));
+        assert!(unwound.is_err(), "the body panic must surface");
+
+        std::thread::scope(|s| {
+            let (to_peer, peer_rx) = mpsc::channel::<()>();
+            let (to_body, body_rx) = mpsc::channel::<()>();
+            let (peer_stm, peer_text) = (stm.clone(), text.clone());
+            s.spawn(move || {
+                let mut peer = peer_stm.handle(1);
+                peer_rx.recv().unwrap();
+                peer.atomically(|tx| {
+                    let mut t = tx.read(&peer_text)?;
+                    t.push('!');
+                    tx.write(&peer_text, t)
+                });
+                to_body.send(()).unwrap();
+            });
+            let mut met = false;
+            h.atomically(|tx| {
+                let len = tx.read(&text)?.len() as u64;
+                if !std::mem::replace(&mut met, true) {
+                    to_peer.send(()).unwrap();
+                    body_rx.recv().unwrap();
+                }
+                tx.write(&counted, count(len))
+            });
+        });
+        // (An armed fault plan may abort the attempt somewhere else first.)
+        assert!(
+            h.inner().stats().aborts_validate >= 1 || stm.stm().runtime().chaos().enabled(),
+            "the handshake forced a commit-time abort"
+        );
+
+        let (c, t, q) =
+            h.atomically(|tx| Ok((tx.read(&counted)?.n, tx.read(&text)?, tx.read(&queue)?)));
+        assert_eq!(c, 3, "the re-run saw the peer's commit: \"ab!\"");
+        assert_eq!(t, "ab!");
+        assert_eq!(q, VecDeque::from([7, 8]));
+
+        drop(h); // hands its parked cells over
+        assert_eq!(
+            stm.stm().runtime().grace().retired_boxes(),
+            6,
+            "3 + 1 + 1 replacements on this handle, 1 on the peer's"
+        );
+    }
+    assert_eq!(
+        created.load(Ordering::SeqCst),
+        dropped.load(Ordering::SeqCst),
+        "every payload instance dropped exactly once (no leak, no double-drop)"
+    );
+}
+
+#[test]
+fn every_exit_tears_down_exactly_once_cooperative() {
+    every_exit_tears_down_exactly_once(DriverMode::Cooperative);
+}
+
+#[test]
+fn every_exit_tears_down_exactly_once_background() {
+    every_exit_tears_down_exactly_once(DriverMode::Background);
 }
 
 /// Under the background driver, retirements are collected *during* the run
