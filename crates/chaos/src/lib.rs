@@ -2,9 +2,10 @@
 //!
 //! The hardening layer in `tm-stm` (panic-safe unwind paths, retry budgets
 //! with irrevocable fallback, stall detection) is only as trustworthy as the
-//! tests that exercise it. This crate plants **injection sites** at the four
+//! tests that exercise it. This crate plants **injection sites** at the five
 //! places where an STM actually fails in production — lock acquisition,
-//! validation, clock bumps, and grace-period scans — and lets a seeded
+//! validation, clock bumps, commit epilogues, and grace-period scans — and
+//! lets a seeded
 //! generator force the rare outcomes (a lost lock race, a failed validation,
 //! a descheduled thread) on demand, deterministically enough that the full
 //! conformance suite can run under injection and still assert bit-identical
@@ -19,7 +20,11 @@
 //!   finals and verdicts are unchanged.
 //! - **Injected delays** (`maybe_delay`) — a bounded burst of yields at the
 //!   site, widening the race windows the paper's privatization argument has
-//!   to survive (e.g. a grace scan descheduled mid-snapshot).
+//!   to survive (e.g. a grace scan descheduled mid-snapshot). Under a seed
+//!   with [`SLEEP_DELAYS`] set, commit-epilogue delays sleep instead
+//!   (hundreds of µs, what a descheduled thread really loses): the window
+//!   between a commit's effect and its return only shows under delays that
+//!   long.
 //! - **One-shot panics** (`arm_panic` / `check_panic`) — a countdown armed by
 //!   a test; the n-th visit to the site panics, driving the unwind through
 //!   whatever state the site holds (write-set locks, the epoch slot). These
@@ -63,10 +68,15 @@ pub enum Site {
     /// A grace-period scan step in `tm-quiesce`. Only delays and panics — a
     /// descheduled scanner is exactly the stall the detector must notice.
     GraceScan = 3,
+    /// A writing commit after its locks are released, before it returns to
+    /// the shared handle. Only delays and panics — a commit descheduled
+    /// there is already visible to everyone, so the window it stretches is
+    /// the one between a commit's effect and its recorded response.
+    CommitEpilogue = 4,
 }
 
 /// Number of distinct injection sites (array sizing).
-pub const NSITES: usize = 4;
+pub const NSITES: usize = 5;
 
 impl Site {
     /// All sites, for iteration in tests and reports.
@@ -75,6 +85,7 @@ impl Site {
         Site::Validate,
         Site::ClockBump,
         Site::GraceScan,
+        Site::CommitEpilogue,
     ];
 
     /// Stable lowercase label (telemetry, logs, reports).
@@ -84,6 +95,7 @@ impl Site {
             Site::Validate => "validate",
             Site::ClockBump => "clock_bump",
             Site::GraceScan => "grace_scan",
+            Site::CommitEpilogue => "commit_epilogue",
         }
     }
 }
@@ -106,6 +118,16 @@ const ABORT_ONE_IN: u64 = 24;
 const DELAY_ONE_IN: u64 = 16;
 /// Maximum injected delay, in `yield_now` calls.
 const MAX_DELAY_YIELDS: u64 = 3;
+/// Seed bit that turns [`Site::CommitEpilogue`] delays into sleeps of
+/// 200–1000 µs, drawn one visit in four, instead of yield
+/// bursts. Part of the seed, so a plan stays a pure function of it:
+/// `TM_STM_CHAOS=0x8000000000000007` is a sleeping plan. Other sites keep
+/// their yield bursts — a sleep with locks held would only serialize the
+/// run.
+pub const SLEEP_DELAYS: u64 = 1 << 63;
+/// Commit-epilogue delay odds under a [`SLEEP_DELAYS`] seed: often enough
+/// that a short recorded scenario sleeps inside the window.
+const SLEEP_ONE_IN: u64 = 4;
 
 /// Per-site state: a visit counter (the deterministic input) and a one-shot
 /// panic countdown (0 = disarmed). Padded so two hot sites never share a
@@ -209,8 +231,13 @@ impl Chaos {
         self.check_panic(site);
         let visit = s.visits.fetch_add(1, Ordering::Relaxed);
         let roll = mix(self.seed ^ 0xDE1A ^ (site as u64) << 32 ^ visit);
-        if roll.is_multiple_of(DELAY_ONE_IN) {
+        let sleeps = self.seed & SLEEP_DELAYS != 0 && site == Site::CommitEpilogue;
+        if roll.is_multiple_of(if sleeps { SLEEP_ONE_IN } else { DELAY_ONE_IN }) {
             s.injected_delays.fetch_add(1, Ordering::Relaxed);
+            if sleeps {
+                std::thread::sleep(std::time::Duration::from_micros(200 + (roll >> 8) % 801));
+                return;
+            }
             for _ in 0..=(roll >> 8) % MAX_DELAY_YIELDS {
                 std::thread::yield_now();
             }
@@ -361,6 +388,26 @@ mod tests {
         assert_eq!(parse(""), None);
         assert_eq!(parse("off"), None);
         assert_eq!(parse("not-a-seed"), None);
+    }
+
+    #[test]
+    fn sleep_seeds_sleep_and_keep_the_plan() {
+        let (plain, sleepy) = (Chaos::seeded(99), Chaos::seeded(99 | SLEEP_DELAYS));
+        let t0 = std::time::Instant::now();
+        for _ in 0..256 {
+            plain.maybe_delay(Site::CommitEpilogue);
+            sleepy.maybe_delay(Site::CommitEpilogue);
+        }
+        let n = sleepy.injected_delays(Site::CommitEpilogue);
+        assert!(n > plain.injected_delays(Site::CommitEpilogue));
+        assert!(t0.elapsed() >= std::time::Duration::from_micros(200 * n));
+        // The sleep bit is mixed into the seed: a plan of its own, but one
+        // that is just as deterministic.
+        let again = Chaos::seeded(99 | SLEEP_DELAYS);
+        for _ in 0..256 {
+            again.maybe_delay(Site::CommitEpilogue);
+        }
+        assert_eq!(again.injected_delays(Site::CommitEpilogue), n);
     }
 
     #[test]

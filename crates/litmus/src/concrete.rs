@@ -359,12 +359,26 @@ pub fn run_scenario_mode(
     record: bool,
     mode: DriverMode,
 ) -> ScenarioRun {
+    let chaos = tm_stm::chaos::seed_from_env();
+    run_scenario_seeded(scenario, backend, record, mode, chaos)
+}
+
+/// [`run_scenario_mode`] under the fault-injection seed `chaos` (`None` =
+/// no injection) instead of the process default.
+pub fn run_scenario_seeded(
+    scenario: Scenario,
+    backend: Backend,
+    record: bool,
+    mode: DriverMode,
+    chaos: Option<u64>,
+) -> ScenarioRun {
     let nregs = scenario.nregs();
     let nthreads = scenario.nthreads();
     let record = record && scenario.records_cleanly();
     let recorder = record.then(|| Arc::new(Recorder::new(nthreads)));
     let mut cfg = StmConfig::new(nregs, nthreads).grace_driver(mode);
     cfg.recorder = recorder.clone();
+    cfg.chaos = chaos;
     let mut stripe_resizes = None;
     let (final_regs, lost_updates) = match backend {
         Backend::Tl2PerRegister => drive(scenario, &Tl2Stm::with_config(cfg), backend),
@@ -1106,7 +1120,7 @@ fn map_rehash<F: StmFactory>(stm: &F, park_ok: bool) -> u64 {
         // Privatized snapshot: freeze (one flag write + fence), then bulk
         // reads; every key must be present with its exact value. The map
         // stays frozen, so the finals are deterministic.
-        m.freeze(&mut h);
+        m.freeze(&mut h, FreezeMode::Read);
         let snap = m.iter_frozen(&mut h);
         let mut lost = 0u64;
         let mut expect = |key: u64, val: u64| {
@@ -1356,11 +1370,13 @@ const SV_REGS: usize = SV_SHARDS * SV_SHARD_REGS;
 const SV_OPS: u64 = 40;
 /// Owner privatize → scan → publish cycles over the whole store.
 const SV_CYCLES: u64 = 3;
-/// Low flag bits carry the phase (1 = privatized, 2 = open); bits above
-/// are a per-write nonce.
+/// Low flag bits carry the phase (1 = privatized, 2 = open, 3 =
+/// read-privatized: gets go through, writes wait); bits above are a
+/// per-write nonce.
 const SV_PHASE_MASK: u64 = 3;
 const SV_PRIVATE: u64 = 1;
 const SV_OPEN: u64 = 2;
+const SV_READ_FROZEN: u64 = 3;
 /// Key `i`'s settled value (`SV_SETTLE_BASE + i`, below every nonce
 /// space).
 pub const SV_SETTLE_BASE: u64 = 0x5E00;
@@ -1396,11 +1412,15 @@ pub fn service_expected_finals() -> Vec<u64> {
 /// Def A.1 clause 3 under any retry schedule (including chaos).
 ///
 /// Clients issue flag-guarded transactional ops (get / put / rmw /
-/// whole-shard scan — writes skipped while the shard is privatized);
-/// the owner cycles over both shards (privatize → fence → uninstrumented
+/// whole-shard scan — writes skipped while the shard is privatized in
+/// either mode, reads skipped only while it is write-privatized). Each
+/// owner cycle first read-privatizes both shards in one flag transaction
+/// → fence → two full uninstrumented passes over every key (mismatch =
+/// lost) while client reads keep going → one thaw transaction; then
+/// cycles over both shards (privatize → fence → uninstrumented
 /// double-read of every key, mismatch = lost → unique direct stamp,
-/// read-back mismatch = lost → nonced publish-back), joins the clients,
-/// and settles every shard under one final privatization each.
+/// read-back mismatch = lost → nonced publish-back). Finally it joins the
+/// clients and settles every shard under one final privatization each.
 ///
 /// Value spaces (disjoint, all non-initial): owner stamps carry bit 62,
 /// client writes bit `52 + client`, flag nonces bit 44, settle constants
@@ -1428,10 +1448,12 @@ fn service<F: StmFactory>(stm: &F) -> u64 {
                         let (shard, slot) = (key / SV_KEYS, key % SV_KEYS);
                         h.atomic(|tx| {
                             nonce += 1;
-                            let open = tx.read(sv_flag(shard))? & SV_PHASE_MASK != SV_PRIVATE;
+                            let phase = tx.read(sv_flag(shard))? & SV_PHASE_MASK;
+                            let readable = phase != SV_PRIVATE;
+                            let open = phase == SV_OPEN;
                             match class {
                                 OpClass::Get => {
-                                    if open {
+                                    if readable {
                                         tx.read(sv_data(shard, slot))?;
                                     }
                                 }
@@ -1450,7 +1472,7 @@ fn service<F: StmFactory>(stm: &F) -> u64 {
                                     // Client-side scan is transactional (only
                                     // the owner privatizes): one consistent
                                     // guarded snapshot of the whole shard.
-                                    if open {
+                                    if readable {
                                         for k in 0..SV_KEYS {
                                             tx.read(sv_data(shard, k))?;
                                         }
@@ -1468,15 +1490,39 @@ fn service<F: StmFactory>(stm: &F) -> u64 {
         let mut h = stm.handle(0);
         let mut lost = 0u64;
         let mut flag_nonce = 0u64;
-        let mut set_flag = |h: &mut F::Handle, s: usize, phase: u64| {
+        // One transaction sets the flags of `shards` to `phase`, each write
+        // with a nonce of its own.
+        let mut set_flags = |h: &mut F::Handle, shards: std::ops::Range<usize>, phase: u64| {
             h.atomic(|tx| {
-                flag_nonce += 1;
-                tx.write(sv_flag(s), (1 << 44) | (flag_nonce << 2) | phase)
+                for s in shards.clone() {
+                    flag_nonce += 1;
+                    tx.write(sv_flag(s), (1 << 44) | (flag_nonce << 2) | phase)?;
+                }
+                Ok(())
             });
         };
+        let mut first = [0u64; SV_KEYS];
         for cycle in 0..SV_CYCLES {
+            // Read-only privatization of the whole store, the shape of
+            // `ShardedKv::snapshot_all`: client gets keep committing on the
+            // data the owner reads uninstrumented, and both passes are whole
+            // passes, the second started after the first ends.
+            set_flags(&mut h, 0..SV_SHARDS, SV_READ_FROZEN);
+            h.fence();
             for shard in 0..SV_SHARDS {
-                set_flag(&mut h, shard, SV_PRIVATE);
+                for (k, v) in first.iter_mut().enumerate() {
+                    *v = h.read_direct(sv_data(shard, k));
+                }
+                std::thread::yield_now();
+                for (k, v) in first.iter().enumerate() {
+                    if h.read_direct(sv_data(shard, k)) != *v {
+                        lost += 1;
+                    }
+                }
+            }
+            set_flags(&mut h, 0..SV_SHARDS, SV_OPEN);
+            for shard in 0..SV_SHARDS {
+                set_flags(&mut h, shard..shard + 1, SV_PRIVATE);
                 h.fence();
                 for k in 0..SV_KEYS {
                     let reg = sv_data(shard, k);
@@ -1493,7 +1539,7 @@ fn service<F: StmFactory>(stm: &F) -> u64 {
                         lost += 1;
                     }
                 }
-                set_flag(&mut h, shard, SV_OPEN);
+                set_flags(&mut h, shard..shard + 1, SV_OPEN);
             }
         }
         for c in clients {
@@ -1502,7 +1548,7 @@ fn service<F: StmFactory>(stm: &F) -> u64 {
         // Settle: privatize each shard once more and leave its keys at
         // known constants — the clients are gone, so the finals are exact.
         for shard in 0..SV_SHARDS {
-            set_flag(&mut h, shard, SV_PRIVATE);
+            set_flags(&mut h, shard..shard + 1, SV_PRIVATE);
             h.fence();
             for k in 0..SV_KEYS {
                 let reg = sv_data(shard, k);

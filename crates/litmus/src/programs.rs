@@ -301,6 +301,57 @@ pub fn gcc_bug(with_explicit_fence: bool) -> Litmus {
     }
 }
 
+/// Read-only privatization — a scan under a read-freeze.
+///
+/// ```text
+/// t0: l0 := atomic { x_is_private := 1 }      t1: atomic { l1 := x_is_private
+///     fence                                                l2 := x      // a get
+///     if l0 == committed {                                 [if l1 == 0] { x := 42 } }
+///         l1 := x; l2 := x   // ν, ν: the double read
+///     }
+/// ```
+/// Postcondition: `l0 = committed ⇒ l1 = l2` (the privatized snapshot is
+/// stable). t1's read of `x` is never guarded: a get goes through a
+/// read-freeze, and a transactional read never conflicts with t0's
+/// uninstrumented reads (Def 3.2), so the guarded program is DRF. With
+/// `write_through`, t1's write is not guarded either — a writer going
+/// through a read-freeze — and the program is racy.
+pub fn read_privatize(write_through: bool) -> Litmus {
+    let t0 = seq([
+        atomic(Var(0), [write(XP, cst(1))]),
+        fence(),
+        if_then(
+            is_committed(Var(0)),
+            seq([read(Var(1), X), read(Var(2), X)]),
+        ),
+    ]);
+    let put = write(X, cst(42));
+    let t1 = atomic(
+        Var(0),
+        [
+            read(Var(1), XP),
+            read(Var(2), X),
+            if write_through {
+                put
+            } else {
+                if_then(eq(v(Var(1)), cst(0)), put)
+            },
+        ],
+    );
+    Litmus {
+        name: if write_through {
+            "read_privatize_write_through"
+        } else {
+            "read_privatize"
+        },
+        description: "Read-only privatization: gets pass a read-freeze, writes must not",
+        program: Program::new(vec![t0, t1]).unwrap(),
+        postcondition: |o| !(o.locals[0][0] == COMMITTED && o.locals[0][1] != o.locals[0][2]),
+        divergence: DIVERGENCE_FORBIDDEN,
+        expect_drf: !write_through,
+    }
+}
+
 /// All litmus tests in their canonical configurations.
 pub fn all() -> Vec<Litmus> {
     vec![
@@ -316,5 +367,7 @@ pub fn all() -> Vec<Litmus> {
         privatize_modify_publish(true),
         gcc_bug(false),
         gcc_bug(true),
+        read_privatize(false),
+        read_privatize(true),
     ]
 }

@@ -5,10 +5,10 @@
 //! conformance scenario.
 //!
 //! * [`ShardedKv`] — N [`tm_stm::map::TxMap`] shards, each owning a
-//!   contiguous key range; transactional point ops abort-and-retry while
-//!   a shard is frozen, bulk ops privatize first (freeze flag + one
-//!   grace-period fence) and double-read for stability — the paper's
-//!   safe-privatization discipline at store scale.
+//!   contiguous key range; bulk ops privatize first (read-freeze flag +
+//!   one grace-period fence) and double-read for stability — the paper's
+//!   safe-privatization discipline at store scale. While a shard is
+//!   frozen, `get` proceeds and the writing point ops abort-and-retry.
 //! * [`Zipf`] / [`spread`] / [`SplitMix64`] — skewed key popularity,
 //!   deterministic in the seed.
 //! * [`run_service`] — the closed-loop client fleet: mixed

@@ -1,11 +1,23 @@
 //! The sharded session/KV store: N [`TxMap`] shards, each owning a
 //! contiguous key range, plus the privatize-and-scan surface the paper's
-//! discipline is about. Point ops (`get`/`put`/`rmw`/`remove`) are
-//! transactional and abort-and-retry while their shard is frozen (the
-//! freeze flag sits in every transaction's read set — `TxMap`'s
-//! `check_open` contract). Bulk ops privatize first: freeze-flag
+//! discipline is about. Bulk ops privatize first: freeze-flag
 //! transaction, one grace-period fence, then uninstrumented reads — the
 //! exact `xpo;txpriv` pattern of the paper, at service scale.
+//!
+//! Every bulk op here only reads, so it takes a *read*-freeze
+//! ([`FreezeMode::Read`]): while a shard is frozen, `get` proceeds and
+//! `put`/`rmw`/`remove` abort-and-retry until the publish-back (the freeze
+//! flag sits in every transaction's read set). A transactional read may
+//! overlap the owner's uninstrumented reads — two reads never conflict
+//! (Def 3.2) — and the fence still flushes the writers that were in flight
+//! when the flag was set.
+//!
+//! The uninstrumented read is verified: a first pass appends every entry
+//! to the caller's output, and a second full pass, started after the first
+//! ends, compares every slot against what the first appended
+//! ([`TxMap::frozen_matches`]). A disagreement is a privatization-safety
+//! violation and is counted as an anomaly. Neither pass allocates: the
+//! output is reserved once per scan or snapshot.
 //!
 //! A host-side `Mutex` per shard serializes *privatizers* (a client's
 //! scan vs the background snapshot cycle); it is never held across point
@@ -123,21 +135,23 @@ impl ShardedKv {
         h.atomic(|tx| m.remove(tx, key))
     }
 
-    /// Privatize shard `s` and scan it: take the bulk-owner guard, freeze
-    /// (flag transaction + one grace-period fence), then read every slot
-    /// uninstrumented — **twice**, because under the paper's discipline
-    /// the privatized snapshot must be stable; any slot that changes
-    /// between the two passes is a privatization-safety violation and is
-    /// counted as an anomaly. Returns the frozen shard (still privatized
-    /// — caller publishes back), the entries, and the anomaly count.
+    /// Privatize shard `s` and scan it: take the bulk-owner guard,
+    /// read-freeze (flag transaction + one grace-period fence), then read
+    /// every slot uninstrumented — **twice**, because under the paper's
+    /// discipline the privatized snapshot must be stable; any slot that
+    /// changes between the two passes is a privatization-safety violation
+    /// and is counted as an anomaly. Returns the frozen shard (still
+    /// privatized — caller publishes back), the entries, and the anomaly
+    /// count.
     pub fn privatize_and_scan<'a, H: StmHandle>(
         &'a self,
         h: &mut H,
         s: usize,
     ) -> (FrozenShard<'a>, Vec<(u64, u64)>, u64) {
         let guard = self.guards[s].lock().expect("shard guard poisoned");
-        self.shards[s].freeze(h);
-        let (entries, anomalies) = self.stable_read(h, s);
+        self.shards[s].freeze(h, FreezeMode::Read);
+        let mut entries = Vec::with_capacity(self.keys_per_shard as usize);
+        let anomalies = self.stable_read(h, s, &mut entries);
         (
             FrozenShard {
                 kv: self,
@@ -151,27 +165,24 @@ impl ShardedKv {
 
     /// One consistent snapshot of the whole store behind a single grace
     /// period: take every bulk-owner guard (in shard order — the one
-    /// lock-ordering rule), batch-freeze all shards
+    /// lock-ordering rule), read-freeze all shards in one transaction
     /// ([`freeze_all_async`] → one epoch-table scan), double-read each,
-    /// thaw everything. Returns all entries plus the anomaly count.
+    /// thaw all shards in one transaction ([`thaw_all`]). Returns all
+    /// entries plus the anomaly count.
     pub fn snapshot_all<H: StmHandle>(&self, h: &mut H) -> (Vec<(u64, u64)>, u64) {
         let guards: Vec<_> = self
             .guards
             .iter()
             .map(|g| g.lock().expect("shard guard poisoned"))
             .collect();
-        let ticket = freeze_all_async(&self.shards, h);
+        let ticket = freeze_all_async(&self.shards, h, FreezeMode::Read);
         h.fence_join(ticket);
-        let mut entries = Vec::new();
+        let mut entries = Vec::with_capacity(self.key_space() as usize);
         let mut anomalies = 0;
         for s in 0..self.shards.len() {
-            let (mut e, a) = self.stable_read(h, s);
-            entries.append(&mut e);
-            anomalies += a;
+            anomalies += self.stable_read(h, s, &mut entries);
         }
-        for m in &self.shards {
-            m.thaw(h);
-        }
+        thaw_all(&self.shards, h);
         drop(guards);
         (entries, anomalies)
     }
@@ -185,25 +196,29 @@ impl ShardedKv {
         (entries, anomalies)
     }
 
-    /// Double uninstrumented read of a frozen shard; the passes must
-    /// agree entry-for-entry or the count of disagreements comes back as
-    /// anomalies. Entries outside the shard's key range also count — a
-    /// shard can only ever hold its own keys.
-    fn stable_read<H: StmHandle>(&self, h: &mut H, s: usize) -> (Vec<(u64, u64)>, u64) {
-        let first = self.shards[s].iter_frozen(h);
-        let second = self.shards[s].iter_frozen(h);
-        let mut anomalies = 0;
-        if first != second {
-            anomalies += 1;
-        }
+    /// Double uninstrumented read of a frozen shard, appending its
+    /// entries to `out`; returns the anomaly count. The second pass must
+    /// agree entry-for-entry with what the first appended, or it counts one
+    /// anomaly. Entries outside the shard's key range also count — a shard
+    /// can only ever hold its own keys.
+    fn stable_read<H: StmHandle>(&self, h: &mut H, s: usize, out: &mut Vec<(u64, u64)>) -> u64 {
+        let start = out.len();
+        self.shards[s].read_frozen_into(h, out);
+        self.verify(h, s, &out[start..])
+    }
+
+    /// The second half of [`Self::stable_read`]: re-read shard `s` and
+    /// count the anomalies in `first`, what the first pass appended.
+    fn verify<H: StmHandle>(&self, h: &mut H, s: usize, first: &[(u64, u64)]) -> u64 {
+        let mut anomalies = u64::from(!self.shards[s].frozen_matches(h, first));
         let lo = s as u64 * self.keys_per_shard;
         let hi = lo + self.keys_per_shard;
-        for &(k, _) in &first {
+        for &(k, _) in first {
             if k < lo || k >= hi {
                 anomalies += 1;
             }
         }
-        (first, anomalies)
+        anomalies
     }
 }
 
@@ -313,6 +328,28 @@ mod tests {
         assert_eq!(kv.shard_of(31), 3);
     }
 
+    /// The read-freeze a scan holds lets `get` through and bounces every
+    /// writer until the publish-back.
+    #[test]
+    fn a_scanned_shard_serves_gets_and_bounces_writes() {
+        // Chaos off: a forced abort would read as a bounce.
+        let kv = ShardedKv::new(0, 2, 8);
+        let stm = Tl2Stm::with_config(StmConfig::new(ShardedKv::regs_needed(2, 8), 1).chaos_off());
+        let mut h = stm.handle(0);
+        kv.put(&mut h, 9, 90);
+        let (frozen, _, _) = kv.privatize_and_scan(&mut h, 1);
+        let m = kv.shards[1];
+        let before = h.stats().aborts_user;
+        assert_eq!(h.try_atomic(|tx| m.get(tx, 9)), Ok(Some(90)));
+        assert_eq!(h.try_atomic(|tx| m.insert(tx, 9, 91)), Err(Abort));
+        assert_eq!(h.try_atomic(|tx| m.remove(tx, 9)), Err(Abort));
+        assert_eq!(h.stats().aborts_user - before, 2);
+        // The other shard is not frozen at all.
+        kv.put(&mut h, 1, 10);
+        frozen.publish_back(&mut h);
+        assert_eq!(kv.rmw(&mut h, 9, 1), 91);
+    }
+
     #[test]
     fn privatize_scan_publish_cycle_sees_exact_contents() {
         let (kv, stm) = store_and_stm(2, 8);
@@ -333,21 +370,61 @@ mod tests {
 
     #[test]
     fn snapshot_all_batches_one_grace_scan() {
-        let (kv, stm) = store_and_stm(3, 4);
-        let mut h = stm.handle(0);
-        for key in [0u64, 5, 9] {
-            kv.put(&mut h, key, key + 1);
+        for nshards in [1usize, 3, 16] {
+            let (kv, stm) = store_and_stm(nshards, 4);
+            let mut h = stm.handle(0);
+            for key in [0u64, 2, 3].into_iter().filter(|&k| k < kv.key_space()) {
+                kv.put(&mut h, key, key + 1);
+            }
+            let scans_before = stm.runtime().grace().scans();
+            let commits_before = h.stats().commits;
+            let (mut entries, anomalies) = kv.snapshot_all(&mut h);
+            assert_eq!(anomalies, 0);
+            entries.sort_unstable();
+            assert_eq!(entries, vec![(0, 1), (2, 3), (3, 4)]);
+            assert_eq!(
+                stm.runtime().grace().scans() - scans_before,
+                1,
+                "{nshards} shard freezes must share one epoch-table scan"
+            );
+            assert_eq!(
+                h.stats().commits - commits_before,
+                2,
+                "{nshards} shards: one freeze and one thaw transaction"
+            );
         }
-        let scans_before = stm.runtime().grace().scans();
-        let (mut entries, anomalies) = kv.snapshot_all(&mut h);
-        assert_eq!(anomalies, 0);
-        entries.sort_unstable();
-        assert_eq!(entries, vec![(0, 1), (5, 6), (9, 10)]);
+    }
+
+    /// The verify pass bites: one write between the two passes of
+    /// `stable_read` is exactly one anomaly, and a clean re-read is none.
+    #[test]
+    fn one_write_between_the_passes_is_one_anomaly() {
+        let (kv, stm) = store_and_stm(2, 8);
+        let mut h = stm.handle(0);
+        for key in [1u64, 3, 9, 12] {
+            kv.put(&mut h, key, 100 + key);
+        }
+        let (frozen, entries, anomalies) = kv.privatize_and_scan(&mut h, 1);
+        assert_eq!((entries.len(), anomalies), (2, 0));
+        let mut out = Vec::new();
+        assert_eq!(kv.stable_read(&mut h, 1, &mut out), 0);
+        assert_eq!(kv.verify(&mut h, 1, &out), 0);
+        // The first value register of shard 1 holding an entry: shard 1's
+        // map starts after shard 0's 2 * 8 + 1 registers.
+        let base = TxMap::regs_needed(8);
+        let val_reg = (0..8)
+            .map(|slot| base + 2 + 2 * slot)
+            .find(|&r| h.read_direct(r - 1) >= tm_stm::map::KEY_BIAS)
+            .unwrap();
+        let old = h.read_direct(val_reg);
+        h.write_direct(val_reg, old + 1);
         assert_eq!(
-            stm.runtime().grace().scans() - scans_before,
+            kv.verify(&mut h, 1, &out),
             1,
-            "3 shard freezes must share one epoch-table scan"
+            "one changed slot, one anomaly"
         );
+        h.write_direct(val_reg, old);
+        frozen.publish_back(&mut h);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::runtime::{FenceMode, Handle, Policy, PolicyKind, Runtime, Stm, StmCon
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use tm_chaos::Site;
 
 /// The one global lock shared by all handles.
 pub struct GlockShared {
@@ -101,8 +102,12 @@ impl Policy for GlockPolicy {
         for &(x, v) in &self.buf {
             ctx.rt.store(x, v);
         }
+        // Linearized while the global lock is held (see
+        // `TxCtx::linearized`).
+        ctx.linearized();
         self.release();
         self.holding = false;
+        ctx.rt.chaos_delay(Site::CommitEpilogue);
         Ok(())
     }
 

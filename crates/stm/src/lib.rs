@@ -134,7 +134,7 @@ pub mod prelude {
     pub use crate::clock::ClockKind;
     pub use crate::fence::{fence_all, FenceTicket, FenceTimeout};
     pub use crate::glock::{GlockHandle, GlockStm};
-    pub use crate::map::{freeze_all, freeze_all_async, TxMap};
+    pub use crate::map::{freeze_all, freeze_all_async, thaw_all, FreezeMode, TxMap};
     pub use crate::norec::{NorecHandle, NorecStm};
     pub use crate::record::Recorder;
     pub use crate::runtime::{BackoffCfg, DriverMode, RetryPolicy, StmConfig};

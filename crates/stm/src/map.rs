@@ -11,17 +11,45 @@
 //! storable key is [`MAX_KEY`], and larger keys are rejected (checked
 //! encoding) rather than wrapped into the reserved values.
 //!
-//! Every transactional operation first reads the freeze flag and aborts if
-//! the map is frozen; because the flag is in the read set, a concurrent
-//! [`TxMap::freeze`] invalidates in-flight writers, and the fence inside `freeze`
-//! waits them out — precisely the Fig 1(a) discipline. Bulk readers/writers
-//! then use uninstrumented direct access safely.
+//! Every transactional operation first reads the freeze flag, so the flag
+//! is in every read set and a concurrent freeze invalidates in-flight
+//! transactions; the fence inside [`TxMap::freeze`] then waits them out —
+//! precisely the Fig 1(a) discipline. The flag has two frozen values, one
+//! per [`FreezeMode`]:
+//!
+//! * **Read-freeze** (flag 1) is for bulk *readers* (scans, snapshots).
+//!   [`TxMap::insert`] and [`TxMap::remove`] abort while it is set;
+//!   [`TxMap::get`] proceeds. In the paper's DRF notion (Def 3.2) two
+//!   accesses conflict only if one writes, so a transactional read may
+//!   overlap the owner's uninstrumented reads; the fence is still needed,
+//!   to flush writers that were in flight when the flag was set.
+//! * **Write-freeze** (flag 2) is for bulk *writers* ([`TxMap::compact_frozen`],
+//!   or anything else that writes uninstrumented): every operation aborts.
+//!
+//! Bulk readers/writers then use uninstrumented direct access safely.
+//! Several maps are privatized together by [`freeze_all`]: one flag
+//! transaction for the whole batch and one fence; [`thaw_all`] publishes
+//! them back in one transaction.
 
 use crate::api::{Abort, StmHandle, TxScope};
 use crate::fence::FenceTicket;
 
 const EMPTY: u64 = 0;
 const TOMBSTONE: u64 = 1;
+/// Freeze-flag value of a map open to all transactional traffic.
+const OPEN: u64 = 0;
+
+/// What a frozen map still lets transactional traffic do (see the module
+/// docs). The mode is the non-zero value the freeze flag is set to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FreezeMode {
+    /// The owner only reads while frozen: `get` proceeds, `insert` and
+    /// `remove` abort-and-retry until the thaw.
+    Read = 1,
+    /// The owner writes while frozen: every operation aborts-and-retries
+    /// until the thaw.
+    Write = 2,
+}
 /// User keys are stored as `key + KEY_BIAS` to keep 0/1 reserved.
 pub const KEY_BIAS: u64 = 2;
 /// Largest storable user key. Keys are stored biased by [`KEY_BIAS`], so
@@ -89,21 +117,33 @@ impl TxMap {
         (z ^ (z >> 31)) as usize % self.cap
     }
 
-    /// Abort if the map is currently frozen (bulk-owned); puts the flag in
-    /// the read set so freezing invalidates us.
+    /// Abort if the map is frozen in any mode (a writer may not run while
+    /// the owner reads or writes uninstrumented); puts the flag in the read
+    /// set so freezing invalidates us.
     fn check_open(&self, tx: &mut dyn TxScope) -> Result<(), Abort> {
-        if tx.read(self.flag_reg())? != 0 {
+        if tx.read(self.flag_reg())? != OPEN {
             return Err(Abort);
         }
         Ok(())
     }
 
-    /// Transactional lookup. Keys above [`MAX_KEY`] are never present:
-    /// `Ok(None)` (debug builds assert).
+    /// Abort if the map is write-frozen. A read-frozen map stays readable,
+    /// and the flag still enters the read set, so a later write-freeze
+    /// invalidates us.
+    fn check_readable(&self, tx: &mut dyn TxScope) -> Result<(), Abort> {
+        if tx.read(self.flag_reg())? == FreezeMode::Write as u64 {
+            return Err(Abort);
+        }
+        Ok(())
+    }
+
+    /// Transactional lookup. Proceeds on an open or read-frozen map and
+    /// aborts on a write-frozen one. Keys above [`MAX_KEY`] are never
+    /// present: `Ok(None)` (debug builds assert).
     pub fn get(&self, tx: &mut dyn TxScope, key: u64) -> Result<Option<u64>, Abort> {
         // Freeze check first — even an unstorable key must observe the
         // module's frozen-map contract (abort, flag in the read set).
-        self.check_open(tx)?;
+        self.check_readable(tx)?;
         let Some(stored) = encode_key(key) else {
             return Ok(None);
         };
@@ -121,7 +161,8 @@ impl TxMap {
         Ok(None)
     }
 
-    /// Transactional insert-or-update. Returns `false` if the map is full
+    /// Transactional insert-or-update; aborts while the map is frozen in
+    /// either mode. Returns `false` if the map is full
     /// — or if `key` exceeds [`MAX_KEY`] and is therefore unstorable
     /// (debug builds assert).
     pub fn insert(&self, tx: &mut dyn TxScope, key: u64, val: u64) -> Result<bool, Abort> {
@@ -156,7 +197,8 @@ impl TxMap {
         Ok(false)
     }
 
-    /// Transactional removal. Returns the removed value. Keys above
+    /// Transactional removal; aborts while the map is frozen in either
+    /// mode. Returns the removed value. Keys above
     /// [`MAX_KEY`] are never present: `Ok(None)` (debug builds assert).
     pub fn remove(&self, tx: &mut dyn TxScope, key: u64) -> Result<Option<u64>, Abort> {
         self.check_open(tx)?;
@@ -179,12 +221,13 @@ impl TxMap {
         Ok(None)
     }
 
-    /// Privatize the map for bulk work: set the freeze flag transactionally,
-    /// then fence. After this returns, no transaction is operating on the
-    /// map and new ones abort-and-retry until [`Self::thaw`]. Exactly
-    /// [`Self::freeze_async`] followed by [`StmHandle::fence_join`].
-    pub fn freeze<H: StmHandle>(&self, h: &mut H) {
-        let ticket = self.freeze_async(h);
+    /// Privatize the map for bulk work: set the freeze flag to `mode`
+    /// transactionally, then fence. After this returns no transaction that
+    /// `mode` excludes is operating on the map, and new ones
+    /// abort-and-retry until [`Self::thaw`]. Exactly [`Self::freeze_async`]
+    /// followed by [`StmHandle::fence_join`].
+    pub fn freeze<H: StmHandle>(&self, h: &mut H, mode: FreezeMode) {
+        let ticket = self.freeze_async(h, mode);
         h.fence_join(ticket);
     }
 
@@ -197,64 +240,102 @@ impl TxMap {
     /// calling this repeatedly: issuing another map's flag transaction
     /// while this ticket is outstanding makes recorded histories
     /// ill-formed (see [`crate::fence`]'s recording rules).
-    pub fn freeze_async<H: StmHandle>(&self, h: &mut H) -> FenceTicket {
-        let flag = self.flag_reg();
-        h.atomic(|tx| tx.write(flag, 1));
-        h.fence_async()
+    pub fn freeze_async<H: StmHandle>(&self, h: &mut H, mode: FreezeMode) -> FenceTicket {
+        freeze_all_async(std::slice::from_ref(self), h, mode)
     }
 
     /// Publish the map back for transactional access (no fence needed:
     /// publication is safe by `xpo;txwr`, paper Fig 2).
     pub fn thaw<H: StmHandle>(&self, h: &mut H) {
-        let flag = self.flag_reg();
-        h.atomic(|tx| tx.write(flag, 0));
+        thaw_all(std::slice::from_ref(self), h);
     }
 }
 
 /// Privatize several maps behind a *single* fence: set every freeze flag
-/// first (one transaction per map), then wait one grace period out for all
-/// of them — N map freezes for one epoch-table scan. This is the batched
-/// pattern for one handle: every flag transaction completes before the
-/// fence is requested, so recorded histories stay well-formed.
-pub fn freeze_all<H: StmHandle>(maps: &[TxMap], h: &mut H) {
-    let ticket = freeze_all_async(maps, h);
+/// to `mode` in one transaction, then wait one grace period out for all of
+/// them — N map freezes for one commit and one epoch-table scan. The flag
+/// transaction completes before the fence is requested, so recorded
+/// histories stay well-formed.
+pub fn freeze_all<H: StmHandle>(maps: &[TxMap], h: &mut H, mode: FreezeMode) {
+    let ticket = freeze_all_async(maps, h, mode);
     h.fence_join(ticket);
 }
 
-/// Non-blocking form of [`freeze_all`]: set every freeze flag (one
-/// transaction per map) and return the single fence ticket covering all
-/// of them. Bulk (uninstrumented) access to *any* of the maps is only
-/// safe after the ticket resolves. This is what a background
-/// freeze/snapshot cycle wants — request the grace period, keep serving,
-/// and join the ticket when the snapshot pass actually starts.
-pub fn freeze_all_async<H: StmHandle>(maps: &[TxMap], h: &mut H) -> FenceTicket {
-    for m in maps {
-        let flag = m.flag_reg();
-        h.atomic(|tx| tx.write(flag, 1));
-    }
+/// Non-blocking form of [`freeze_all`]: set every freeze flag in one
+/// transaction and return the single fence ticket covering all of them.
+/// Bulk (uninstrumented) access to *any* of the maps is only safe after
+/// the ticket resolves. This is what a background freeze/snapshot cycle
+/// wants — request the grace period, keep serving, and join the ticket
+/// when the snapshot pass actually starts.
+pub fn freeze_all_async<H: StmHandle>(maps: &[TxMap], h: &mut H, mode: FreezeMode) -> FenceTicket {
+    set_flags(maps, h, mode as u64);
     h.fence_async()
 }
 
+/// Publish several maps back in one transaction (no fence: publication is
+/// safe by `xpo;txwr`, paper Fig 2).
+pub fn thaw_all<H: StmHandle>(maps: &[TxMap], h: &mut H) {
+    set_flags(maps, h, OPEN);
+}
+
+fn set_flags<H: StmHandle>(maps: &[TxMap], h: &mut H, flag: u64) {
+    h.atomic(|tx| {
+        for m in maps {
+            tx.write(m.flag_reg(), flag)?;
+        }
+        Ok(())
+    });
+}
+
 impl TxMap {
-    /// Bulk snapshot with uninstrumented reads. Only safe between
-    /// [`Self::freeze`] and [`Self::thaw`] on the same handle.
+    /// Bulk snapshot with uninstrumented reads: [`Self::read_frozen_into`]
+    /// into a fresh `Vec`. Only safe between [`Self::freeze`] and
+    /// [`Self::thaw`] on the same handle.
     pub fn iter_frozen<H: StmHandle>(&self, h: &mut H) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        self.read_frozen_into(h, &mut out);
+        out
+    }
+
+    /// One uninstrumented pass over every slot, appending each entry to
+    /// `out` in slot order. Only safe while frozen (either mode).
+    pub fn read_frozen_into<H: StmHandle>(&self, h: &mut H, out: &mut Vec<(u64, u64)>) {
         // One reader for the pass: a `read_direct` per register would
         // reload the runtime pointer, the recorder and the stats word on
         // every iteration (nothing hoists across a `SeqCst` load).
         let mut rd = h.direct_reader();
-        let mut out = Vec::new();
         for slot in 0..self.cap {
             let k = rd.read(self.key_reg(slot));
             if k >= KEY_BIAS {
                 out.push((k - KEY_BIAS, rd.read(self.val_reg(slot))));
             }
         }
-        out
+    }
+
+    /// A second uninstrumented pass over every slot, compared in place
+    /// against `entries` — what [`Self::read_frozen_into`] appended. True
+    /// when the map still holds exactly those entries in that order. The
+    /// pass reads the same registers in the same order as the first, and
+    /// always runs to the end: a mismatch does not shorten the window the
+    /// comparison watches.
+    pub fn frozen_matches<H: StmHandle>(&self, h: &mut H, entries: &[(u64, u64)]) -> bool {
+        let mut rd = h.direct_reader();
+        let mut expect = entries.iter();
+        let mut same = true;
+        for slot in 0..self.cap {
+            let k = rd.read(self.key_reg(slot));
+            if k >= KEY_BIAS {
+                let v = rd.read(self.val_reg(slot));
+                same &= expect.next() == Some(&(k - KEY_BIAS, v));
+            }
+        }
+        same && expect.next().is_none()
     }
 
     /// Bulk rebuild (compaction: drops tombstones) with uninstrumented
-    /// accesses. Only safe while frozen.
+    /// accesses. Only safe while write-frozen ([`FreezeMode::Write`]):
+    /// a read-frozen map admits transactional `get`s, which these writes
+    /// would race with.
     pub fn compact_frozen<H: StmHandle>(&self, h: &mut H) {
         let entries = self.iter_frozen(h);
         for slot in 0..self.cap {
@@ -406,8 +487,9 @@ mod tests {
         });
     }
 
-    /// Freezing several maps batched behind one fence: all flag
-    /// transactions complete first, then one grace period covers them all.
+    /// Freezing several maps batched behind one fence: one flag
+    /// transaction sets every flag, then one grace period covers them all;
+    /// one more transaction thaws them all.
     #[test]
     fn batched_map_freezes_share_one_scan() {
         let maps: Vec<TxMap> = (0..3)
@@ -423,7 +505,13 @@ mod tests {
         for (i, m) in maps.iter().enumerate() {
             h.atomic(|tx| m.insert(tx, 1, 10 + i as u64).map(|_| ()));
         }
-        freeze_all(&maps, &mut h);
+        let commits = h.stats().commits;
+        freeze_all(&maps, &mut h, FreezeMode::Read);
+        assert_eq!(
+            h.stats().commits - commits,
+            1,
+            "one flag transaction for 3 maps"
+        );
         assert_eq!(
             stm.runtime().grace().scans(),
             1,
@@ -432,7 +520,16 @@ mod tests {
         assert_eq!(h.stats().fences, 1);
         for (i, m) in maps.iter().enumerate() {
             assert_eq!(m.iter_frozen(&mut h), vec![(1, 10 + i as u64)]);
-            m.thaw(&mut h);
+        }
+        let commits = h.stats().commits;
+        thaw_all(&maps, &mut h);
+        assert_eq!(
+            h.stats().commits - commits,
+            1,
+            "one thaw transaction for 3 maps"
+        );
+        for (i, m) in maps.iter().enumerate() {
+            h.atomic(|tx| m.insert(tx, 2, 20 + i as u64).map(|_| ()));
         }
     }
 
@@ -442,30 +539,43 @@ mod tests {
     /// epoch-table scan for all maps.
     #[test]
     fn freeze_all_async_returns_one_joinable_ticket() {
-        let maps: Vec<TxMap> = (0..2)
+        let maps: Vec<TxMap> = (0..3)
             .map(|i| TxMap::new(i * TxMap::regs_needed(8), 8))
             .collect();
         let stm = Tl2Stm::with_config(
-            crate::runtime::StmConfig::new(2 * TxMap::regs_needed(8), 1)
+            crate::runtime::StmConfig::new(3 * TxMap::regs_needed(8), 1)
                 .grace_driver(crate::runtime::DriverMode::Cooperative),
         );
         let mut h = stm.handle(0);
         for (i, m) in maps.iter().enumerate() {
             h.atomic(|tx| m.insert(tx, 7, 70 + i as u64).map(|_| ()));
         }
-        let ticket = freeze_all_async(&maps, &mut h);
+        let commits = h.stats().commits;
+        let ticket = freeze_all_async(&maps, &mut h, FreezeMode::Read);
+        assert_eq!(
+            h.stats().commits - commits,
+            1,
+            "one flag transaction for 3 maps"
+        );
         // The fence is requested but not yet waited on: the handle still
-        // serves transactions against unfrozen state elsewhere.
+        // serves transactions — here a `get` through the read-freeze.
+        assert_eq!(h.atomic(|tx| maps[0].get(tx, 7)), Some(70));
         h.fence_join(ticket);
         assert_eq!(
             stm.runtime().grace().scans(),
             1,
-            "2 async map freezes must share one epoch-table scan"
+            "3 async map freezes must share one epoch-table scan"
         );
         for (i, m) in maps.iter().enumerate() {
             assert_eq!(m.iter_frozen(&mut h), vec![(7, 70 + i as u64)]);
-            m.thaw(&mut h);
         }
+        let commits = h.stats().commits;
+        thaw_all(&maps, &mut h);
+        assert_eq!(
+            h.stats().commits - commits,
+            1,
+            "one thaw transaction for 3 maps"
+        );
     }
 
     /// The bulk reader behind `iter_frozen` is `read_direct` with the
@@ -490,7 +600,7 @@ mod tests {
             for k in [3u64, 5, 11] {
                 h.atomic(|tx| m.insert(tx, k, 100 + k).map(|_| ()));
             }
-            m.freeze(&mut h);
+            m.freeze(&mut h, FreezeMode::Read);
             let out = if bulk {
                 m.iter_frozen(&mut h)
             } else {
@@ -542,7 +652,7 @@ mod tests {
             // Owner: periodic freeze → snapshot → compact → thaw.
             let mut h = stm.handle(0);
             for _ in 0..20 {
-                m.freeze(&mut h);
+                m.freeze(&mut h, FreezeMode::Write);
                 let snap = m.iter_frozen(&mut h);
                 // Seeded keys must always be present in every snapshot.
                 for k in 0..10u64 {
@@ -563,5 +673,92 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    /// A single-attempt probe: did `body` commit on this map state?
+    fn commits<H: StmHandle>(
+        h: &mut H,
+        body: impl FnMut(&mut dyn TxScope) -> Result<(), Abort>,
+    ) -> bool {
+        h.try_atomic(body).is_ok()
+    }
+
+    /// Read-freeze bounces writers and lets readers through; write-freeze
+    /// bounces everything; the thaw reopens the map to all three.
+    #[test]
+    fn read_freeze_admits_get_and_write_freeze_admits_nothing() {
+        // Chaos off: a forced abort would read as a bounce.
+        let m = TxMap::new(0, 8);
+        let stm = Tl2Stm::with_config(
+            crate::runtime::StmConfig::new(TxMap::regs_needed(8), 1).chaos_off(),
+        );
+        let mut h = stm.handle(0);
+        h.atomic(|tx| m.insert(tx, 4, 40).map(|_| ()));
+        let get = |tx: &mut dyn TxScope| {
+            assert_eq!(m.get(tx, 4)?, Some(40));
+            Ok(())
+        };
+        let insert = |tx: &mut dyn TxScope| m.insert(tx, 5, 50).map(|_| ());
+        let remove = |tx: &mut dyn TxScope| m.remove(tx, 4).map(|_| ());
+
+        m.freeze(&mut h, FreezeMode::Read);
+        assert!(commits(&mut h, get), "get must pass a read-freeze");
+        assert!(
+            !commits(&mut h, insert),
+            "insert must bounce off a read-freeze"
+        );
+        assert!(
+            !commits(&mut h, remove),
+            "remove must bounce off a read-freeze"
+        );
+        m.thaw(&mut h);
+
+        m.freeze(&mut h, FreezeMode::Write);
+        assert!(!commits(&mut h, get), "get must bounce off a write-freeze");
+        assert!(
+            !commits(&mut h, insert),
+            "insert must bounce off a write-freeze"
+        );
+        assert!(
+            !commits(&mut h, remove),
+            "remove must bounce off a write-freeze"
+        );
+        m.thaw(&mut h);
+
+        assert!(commits(&mut h, get));
+        assert!(commits(&mut h, insert));
+        assert!(commits(&mut h, remove));
+        assert_eq!(h.stats().aborts_user, 5, "{:?}", h.stats());
+    }
+
+    /// The verify pass bites: a value slot or a key slot changed between
+    /// the two passes is a mismatch; an unchanged map matches.
+    #[test]
+    fn frozen_matches_reports_a_changed_value_or_key_slot() {
+        let (m, stm) = map_and_stm(8, 1);
+        let mut h = stm.handle(0);
+        for k in [3u64, 5, 11] {
+            h.atomic(|tx| m.insert(tx, k, 100 + k).map(|_| ()));
+        }
+        m.freeze(&mut h, FreezeMode::Read);
+        let mut first = vec![(99, 99)]; // appends after what is there
+        m.read_frozen_into(&mut h, &mut first);
+        assert_eq!(first.len(), 4);
+        assert!(m.frozen_matches(&mut h, &first[1..]));
+        assert!(!m.frozen_matches(&mut h, &first[2..]), "one entry short");
+        assert!(!m.frozen_matches(&mut h, &first), "one entry too many");
+
+        let slot = (0..8)
+            .find(|&s| h.read_direct(m.key_reg(s)) == 5 + KEY_BIAS)
+            .unwrap();
+        h.write_direct(m.val_reg(slot), 7);
+        assert!(!m.frozen_matches(&mut h, &first[1..]), "changed value slot");
+        h.write_direct(m.val_reg(slot), 105);
+        assert!(m.frozen_matches(&mut h, &first[1..]), "restored");
+        h.write_direct(m.key_reg(slot), 6 + KEY_BIAS);
+        assert!(!m.frozen_matches(&mut h, &first[1..]), "changed key slot");
+        h.write_direct(m.key_reg(slot), TOMBSTONE);
+        assert!(!m.frozen_matches(&mut h, &first[1..]), "emptied key slot");
+        m.thaw(&mut h);
     }
 }

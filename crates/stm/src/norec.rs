@@ -162,11 +162,15 @@ impl Policy for NorecPolicy {
         for &(x, v) in &self.wset {
             ctx.rt.store(x, v);
         }
+        // Linearized while the sequence lock is held (see
+        // `TxCtx::linearized`).
+        ctx.linearized();
         // Release: write-back completed before commit returns — the reason
         // NOrec has no delayed-commit window.
         self.shared
             .global
             .store(self.snapshot + 2, Ordering::SeqCst);
+        ctx.rt.chaos_delay(Site::CommitEpilogue);
         Ok(())
     }
 

@@ -30,6 +30,19 @@
 //!   `record` is between its fetch_add and its push can miss that action
 //!   (its sequence number exists, the push is not yet visible).
 //!
+//! ## Where `Committed` is recorded
+//!
+//! A writing commit records its `Committed` response at its linearization
+//! point — write-back done, locks not yet released
+//! ([`crate::runtime::TxCtx::linearized`]) — not after it returns. A
+//! conflicting writer can only take the released locks afterwards, so per
+//! register the order of `Committed` sequence numbers is the lock
+//! (write-back) order, and the checker's `CompletionOrder` guess for the
+//! write-write order is exact for conflicting writers. Recorded after the
+//! release instead, a writer descheduled in its epilogue could see a later
+//! writer — and a reader of that writer — respond first, a cycle the
+//! checker would blame on the TM.
+//!
 //! Caveat (documented in DESIGN.md): for two *concurrent* non-transactional
 //! accesses to the same register the recorded order may disagree with the
 //! physical access order within a nanosecond-scale window. Such pairs only

@@ -757,6 +757,27 @@ pub struct TxCtx<'a> {
     pub stats: &'a mut Stats,
     /// This handle's thread slot.
     pub slot: u16,
+    /// Whether [`Self::linearized`] ran during this call.
+    linearized: bool,
+}
+
+impl TxCtx<'_> {
+    /// Mark the commit's linearization point: the write-back is complete
+    /// and nothing has been released yet. This is where `Committed` is
+    /// recorded, so a conflicting writer — which can only commit after the
+    /// release — always records its response later: per register, the
+    /// recorded commit order is the write-back order. A commit that never
+    /// calls this (a read-only fast path) gets `Committed` recorded by the
+    /// handle when `commit` returns.
+    #[inline]
+    pub fn linearized(&mut self) {
+        if !self.linearized {
+            self.linearized = true;
+            if let Some(r) = &self.rt.recorder {
+                r.record(self.slot as usize, Kind::Committed);
+            }
+        }
+    }
 }
 
 /// A concurrency-control policy over the shared runtime.
@@ -974,7 +995,12 @@ impl<P: Policy> Handle<P> {
 
     #[inline]
     fn ctx<'a>(rt: &'a Runtime, stats: &'a mut Stats, slot: u16) -> TxCtx<'a> {
-        TxCtx { rt, stats, slot }
+        TxCtx {
+            rt,
+            stats,
+            slot,
+            linearized: false,
+        }
     }
 
     fn begin(&mut self) {
@@ -1061,35 +1087,36 @@ impl<P: Policy> Handle<P> {
         // commit guard, glock's rollback); here we finalize the attempt and
         // condemn the handle — the write-back may be half applied, so
         // atomicity cannot be promised on it again.
-        let commit_result = {
-            let mut ctx = TxCtx {
-                rt: &self.rt,
-                stats: &mut self.stats,
-                slot: self.slot,
-            };
+        let (commit_result, linearized) = {
+            let mut ctx = Self::ctx(&self.rt, &mut self.stats, self.slot);
             let policy = &mut self.policy;
-            catch_unwind(AssertUnwindSafe(|| policy.commit(&mut ctx)))
+            let r = catch_unwind(AssertUnwindSafe(|| policy.commit(&mut ctx)));
+            (r, ctx.linearized)
         };
         match commit_result {
             Err(payload) => {
                 self.poisoned = true;
                 self.stats.panics_unwound += 1;
-                self.finish_abort(AbortCause::Panic);
+                if linearized {
+                    // The write-back landed and `Committed` is recorded:
+                    // the attempt committed, only its epilogue unwound.
+                    self.stats.commits += 1;
+                    self.finish_commit();
+                } else {
+                    self.finish_abort(AbortCause::Panic);
+                }
                 resume_unwind(payload);
             }
             Ok(Ok(())) => {
                 self.stats.commits += 1;
                 // Response recorded before the epoch exit, so a fence that
                 // stops waiting for us is guaranteed to have our committed
-                // action in the history (Def A.1 clause 10).
-                self.rec(Kind::Committed);
-                if let Some(t0) = self.tx_started.take() {
-                    let now = Instant::now();
-                    let latency_ns = now.duration_since(t0).as_nanos() as u64;
-                    self.rt.telemetry.record_commit(self.slot, now, latency_ns);
+                // action in the history (Def A.1 clause 10). Writing
+                // commits recorded it already, at their linearization point.
+                if !linearized {
+                    self.rec(Kind::Committed);
                 }
-                self.rt.epochs().exit(self.slot as usize);
-                self.active = false;
+                self.finish_commit();
                 Ok(())
             }
             Ok(Err(Abort)) => {
@@ -1105,6 +1132,18 @@ impl<P: Policy> Handle<P> {
                 Err(Abort)
             }
         }
+    }
+
+    /// Commit epilogue, after `Committed` is recorded: commit telemetry
+    /// and the epoch exit.
+    fn finish_commit(&mut self) {
+        if let Some(t0) = self.tx_started.take() {
+            let now = Instant::now();
+            let latency_ns = now.duration_since(t0).as_nanos() as u64;
+            self.rt.telemetry.record_commit(self.slot, now, latency_ns);
+        }
+        self.rt.epochs().exit(self.slot as usize);
+        self.active = false;
     }
 
     /// Abort epilogue shared by failed ops, failed commits, and user aborts.

@@ -769,6 +769,9 @@ impl Policy for Tl2Policy {
             ctx.rt.store(x, v);
             t.record_writer(x, &self.shared_stripes);
         }
+        // Linearized while every lock is still held: no conflicting writer
+        // can commit, and so record its response, before ours.
+        ctx.linearized();
         for &gs in &self.stripes {
             t.unlock_set_version(gs, wver);
         }
@@ -776,6 +779,7 @@ impl Policy for Tl2Policy {
         // epilogue below re-borrows `self` mutably.
         locks.armed = false;
         drop(locks);
+        ctx.rt.chaos_delay(Site::CommitEpilogue);
         self.wver_of_last_commit = wver;
         self.note_window_commit(ctx);
         self.note_governor_commit(ctx, true);

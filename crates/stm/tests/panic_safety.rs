@@ -182,6 +182,35 @@ fn panic_through_commit_poisons_the_handle_but_not_the_runtime() {
     }
 }
 
+/// A panic after the linearization point — in the commit epilogue, once
+/// the locks are released — unwinds a transaction that *committed*: its
+/// writes are visible and `Committed` is already recorded, so the handle
+/// closes it as a commit (no `Aborted` after it; the history stays
+/// well-formed), exits its epoch slot and is still poisoned.
+#[test]
+fn panic_after_linearization_closes_a_committed_attempt() {
+    let rec = std::sync::Arc::new(Recorder::new(2));
+    let mut cfg = StmConfig::new(8, 2).chaos_off();
+    cfg.recorder = Some(std::sync::Arc::clone(&rec));
+    let stm = Tl2Stm::with_config(cfg);
+    let mut h = stm.handle(0);
+    stm.runtime().chaos().arm_panic(Site::CommitEpilogue, 1);
+    let r = catch_unwind(AssertUnwindSafe(|| h.atomic(|tx| tx.write(0, 5))));
+    assert!(r.is_err(), "the armed panic must propagate");
+    assert!(h.is_poisoned());
+    assert_eq!((h.stats().commits, h.stats().panics_unwound), (1, 1));
+    assert_eq!(stm.peek(0), 5, "the write-back landed");
+    assert_eq!(stm.locked_stripes(), 0);
+    assert!(!stm.runtime().epochs().is_active(0), "epoch slot exited");
+    let history = rec.snapshot_history();
+    assert!(history.validate().is_ok(), "{history:?}");
+    let kinds: Vec<_> = history.actions().iter().map(|a| a.kind).collect();
+    assert_eq!(kinds.last(), Some(&tm_core::action::Kind::Committed));
+    let mut h2 = stm.handle(1);
+    h2.atomic(|tx| tx.write(0, 6));
+    h2.fence();
+}
+
 /// The retry budget: a transaction that keeps losing escalates to the
 /// irrevocable serial fallback after `max_attempts`, then commits. The
 /// interference runs from *inside the victim's own closure* (the 1-core

@@ -1,4 +1,6 @@
-//! E1, E2, E4, E14 — the paper's anomalies, demonstrated end to end.
+//! E1, E2, E4, E14 — the paper's anomalies, demonstrated end to end — and
+//! the read-freeze pair: a read through a read-privatization is DRF, a
+//! write through one is a race.
 //!
 //! Racy or unfenced programs must exhibit exactly the published failures
 //! under the weak TM, while the strongly atomic reference and the fenced
@@ -271,4 +273,44 @@ fn publication_fig2() {
         let r = run(&l, tm, &limits());
         assert!(r.passed(l.divergence), "{tm:?}: {r:?}");
     }
+}
+
+/// Read-only privatization, the licence for `TxMap`'s read-freeze: a
+/// transactional *read* overlapping the owner's fenced uninstrumented
+/// double read is DRF and safe under every TM, while its twin — a
+/// transactional *write* going through the same read-freeze — is judged
+/// racy, and strong atomicity itself shows the torn double read.
+#[test]
+fn read_privatization_admits_reads_not_writes() {
+    let reads = programs::read_privatize(false);
+    assert!(check_drf_atomic(&reads, &limits()).drf);
+    for tm in [
+        TmKind::Atomic {
+            spurious_aborts: true,
+        },
+        TmKind::Tl2 {
+            implicit_fence: ImplicitFence::None,
+        },
+        TmKind::Glock,
+    ] {
+        let r = run(&reads, tm, &limits());
+        assert!(r.passed(reads.divergence), "{tm:?}: {r:?}");
+    }
+
+    let writes = programs::read_privatize(true);
+    assert!(
+        !check_drf_atomic(&writes, &limits()).drf,
+        "a write through a read-freeze must be racy"
+    );
+    let atomic = run(
+        &writes,
+        TmKind::Atomic {
+            spurious_aborts: true,
+        },
+        &limits(),
+    );
+    assert!(
+        atomic.violations > 0,
+        "the racy twin tears the double read even under strong atomicity: {atomic:?}"
+    );
 }

@@ -44,10 +44,27 @@
 //! publication/re-privatization races under sustained reader traffic.
 
 use tm_core::action::Kind;
+use tm_core::trace::History;
 use tm_litmus::concrete::{
-    check, expected_finals, run_scenario, run_scenario_mode, Backend, Scenario, ScenarioRun,
+    check, expected_finals, run_scenario, run_scenario_mode, run_scenario_seeded, Backend,
+    CheckerVerdict, Scenario, ScenarioRun,
 };
+use tm_stm::chaos::SLEEP_DELAYS;
 use tm_stm::prelude::DriverMode;
+
+/// [`check`], printing the whole history (`tm_core::textio` form) to the
+/// test's output when the verdict is not well-formed, DRF and strongly
+/// opaque — so a failure can be read from the failing run itself.
+fn check_or_dump(history: &History, what: &str) -> CheckerVerdict {
+    let v = check(history);
+    if !(v.well_formed && v.drf && v.opaque == Some(true)) {
+        eprintln!(
+            "{what}: verdict {v:?}; history:\n{}",
+            tm_core::textio::to_text(history)
+        );
+    }
+    v
+}
 
 fn conforming_runs(scenario: Scenario, mode: DriverMode) -> Vec<ScenarioRun> {
     Backend::ALL
@@ -104,7 +121,8 @@ fn assert_conformance_mode(scenario: Scenario, mode: DriverMode) {
     let mut obligated_verdicts = Vec::new();
     for run in &runs {
         let label = run.backend.label();
-        let v = check(run.history.as_ref().expect("recorded run"));
+        let what = format!("{}/{label}/{}", scenario.label(), mode.label());
+        let v = check_or_dump(run.history.as_ref().expect("recorded run"), &what);
         assert!(
             v.well_formed,
             "{}/{label}/{}: ill-formed history",
@@ -235,6 +253,90 @@ fn service_conforms_across_backends() {
     assert_conformance(Scenario::Service);
 }
 
+/// Reads-from edges that run backwards in recorded `Committed` order: a
+/// committed transaction that read a value another committed transaction
+/// wrote, yet responded first. Recorded at the writer's linearization
+/// point, before its locks are released, `Committed` always precedes the
+/// read of its value, so there are none.
+fn backward_reads_from(h: &History) -> usize {
+    use std::collections::HashMap;
+    // Per thread: the open attempt's written and read values (inside an
+    // attempt every `RetVal` answers a transactional read).
+    let mut open: HashMap<u32, (Vec<u64>, Vec<u64>)> = HashMap::new();
+    let mut written_at = HashMap::new();
+    let mut readers = Vec::new();
+    for (i, a) in h.actions().iter().enumerate() {
+        let t = a.thread.0;
+        match a.kind {
+            Kind::TxBegin => {
+                open.insert(t, Default::default());
+            }
+            Kind::Aborted => {
+                open.remove(&t);
+            }
+            Kind::Committed => {
+                let (writes, reads) = open.remove(&t).expect("commit of an open attempt");
+                for &v in &writes {
+                    written_at.insert(v, i);
+                }
+                readers.push((i, reads, writes));
+            }
+            Kind::Write(_, v) => {
+                if let Some(o) = open.get_mut(&t) {
+                    o.0.push(v);
+                }
+            }
+            Kind::RetVal(v) => {
+                if let Some(o) = open.get_mut(&t) {
+                    o.1.push(v);
+                }
+            }
+            _ => {}
+        }
+    }
+    readers
+        .iter()
+        .flat_map(|(at, reads, own)| {
+            reads
+                .iter()
+                .filter(move |v| !own.contains(v))
+                .filter(|v| written_at.get(*v).is_some_and(|w| w > at))
+        })
+        .count()
+}
+
+/// The recorded commit order is the write-back order: every writing
+/// commit records `Committed` at its linearization point, before its
+/// locks are released. Bite test: under a seed whose commit-epilogue
+/// delays are sleeps, a writer often sleeps after its release
+/// (`Site::CommitEpilogue`) while other transactions read its value and
+/// commit. Had `Committed` been recorded after that sleep, those reads
+/// would precede their writer's response in the recorded order — and
+/// some histories would be judged not opaque.
+#[test]
+fn service_opaque_under_commit_epilogue_sleeps() {
+    for i in 0..20u64 {
+        let run = run_scenario_seeded(
+            Scenario::Service,
+            Backend::Tl2PerRegister,
+            true,
+            DriverMode::Cooperative,
+            Some(SLEEP_DELAYS | (0xC0 + i)),
+        );
+        assert_eq!(run.lost_updates, 0, "run {i}");
+        assert_eq!(
+            run.final_regs,
+            expected_finals(Scenario::Service),
+            "run {i}"
+        );
+        let history = run.history.as_ref().unwrap();
+        let v = check_or_dump(history, &format!("sleep run {i}"));
+        assert!(v.well_formed && v.drf, "run {i}: {v:?}");
+        assert_eq!(v.opaque, Some(true), "run {i}: not opaque");
+        assert_eq!(backward_reads_from(history), 0, "run {i}");
+    }
+}
+
 /// The publication-under-load scenario (ROADMAP): fresh publication, then
 /// privatize → rewrite → republish cycles, with two readers continuously
 /// taking guarded snapshots. A reader pairing a published flag with the
@@ -282,8 +384,14 @@ fn adaptive_backend_verdicts_match_fixed_tl2() {
             "{}",
             scenario.label()
         );
-        let va = check(adaptive.history.as_ref().unwrap());
-        let vf = check(fixed.history.as_ref().unwrap());
+        let va = check_or_dump(
+            adaptive.history.as_ref().unwrap(),
+            &format!("{}/tl2-adaptive", scenario.label()),
+        );
+        let vf = check_or_dump(
+            fixed.history.as_ref().unwrap(),
+            &format!("{}/tl2-per-register", scenario.label()),
+        );
         assert_eq!(
             va,
             vf,
@@ -347,7 +455,10 @@ fn striped_extreme_stripe_counts_conform() {
                 "stripes={stripes} {}",
                 scenario.label()
             );
-            let v = check(run.history.as_ref().unwrap());
+            let v = check_or_dump(
+                run.history.as_ref().unwrap(),
+                &format!("stripes={stripes} {}", scenario.label()),
+            );
             assert!(
                 v.well_formed && v.drf,
                 "stripes={stripes} {}",
