@@ -12,7 +12,7 @@ use tm_stm::prelude::*;
 /// threads (disjoint write sets + shared reads: DRF and opaque).
 fn recorded_history(txns: u64) -> History {
     let rec = Arc::new(Recorder::new(3));
-    let stm = Tl2Stm::with_recorder(16, 3, Some(Arc::clone(&rec)));
+    let stm = Tl2Stm::with_config(StmConfig::new(16, 3).recorder(Arc::clone(&rec)));
     std::thread::scope(|s| {
         for t in 0..3usize {
             let stm = stm.clone();

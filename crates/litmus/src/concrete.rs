@@ -185,10 +185,11 @@ pub enum Scenario {
     /// The ROADMAP's *mixed publication-under-load* scenario: one writer
     /// repeatedly re-privatizes, rewrites, and republishes a payload
     /// (round 1 is the pure Fig 2 publication — fresh data, `xpo;txwr`,
-    /// no fence; later rounds each cross a privatization fence) while two
-    /// readers hammer the flag with guarded transactional snapshots. Any
-    /// torn payload a reader observes under a published flag counts as
-    /// lost.
+    /// no fence; later rounds each cross a privatization fence), and
+    /// read-privatizes it after every publish (flag → fence → verified
+    /// double read → thaw), while two readers hammer the flag with guarded
+    /// transactional snapshots. Any torn payload a reader observes under a
+    /// published or read-frozen flag counts as lost.
     PubUnderLoad,
 }
 
@@ -1568,11 +1569,13 @@ const PU_DATA: usize = 1;
 /// Publication rounds; round 1 is fence-free (fresh data), later rounds
 /// re-privatize first.
 const PU_ROUNDS: u64 = 4;
-/// Low flag bits: phase (1 = privatized, 2 = published); next ten bits:
+/// Low flag bits: phase (1 = privatized, 2 = published, 3 =
+/// read-privatized: readers keep reading, nobody writes); next ten bits:
 /// the round; everything above: a per-write nonce.
 const PU_PHASE_MASK: u64 = 3;
 const PU_PRIVATE: u64 = 1;
 const PU_PUBLISHED: u64 = 2;
+const PU_READ_FROZEN: u64 = 3;
 const PU_ROUND_SHIFT: u64 = 2;
 const PU_SEM_MASK: u64 = (1 << 12) - 1;
 
@@ -1595,10 +1598,14 @@ pub fn pub_under_load_expected_finals() -> Vec<u64> {
 /// round 1 is the paper's Fig 2 publication exactly (non-transactional
 /// fresh write, then the publishing flag transaction, no fence); every
 /// later round privatizes (flag → fence), verifies the old payload with
-/// an uninstrumented read, rewrites it directly, and republishes. Two
-/// readers poll with guarded transactional snapshots the whole time: a
-/// snapshot that pairs a published flag for round `r` with anything but
-/// round `r`'s payload is torn and counts as lost.
+/// an uninstrumented read, rewrites it directly, and republishes. After
+/// each publish the writer read-privatizes the payload (flag → fence →
+/// two uninstrumented reads that must agree with each other and with the
+/// round's payload → thaw back to published), the shape of
+/// `ShardedKv::snapshot_all`. Two readers poll with guarded transactional
+/// snapshots the whole time, reading through a read-freeze as through a
+/// publish: a snapshot that pairs a readable flag for round `r` with
+/// anything but round `r`'s payload is torn and counts as lost.
 fn pub_under_load<F: StmFactory>(stm: &F) -> u64 {
     std::thread::scope(|s| {
         let readers: Vec<_> = (0..2usize)
@@ -1611,7 +1618,7 @@ fn pub_under_load<F: StmFactory>(stm: &F) -> u64 {
                     while seen < PU_ROUNDS {
                         let snap = h.atomic(|tx| {
                             let f = tx.read(PU_FLAG)?;
-                            if f & PU_PHASE_MASK == PU_PUBLISHED {
+                            if matches!(f & PU_PHASE_MASK, PU_PUBLISHED | PU_READ_FROZEN) {
                                 Ok(Some((
                                     (f & PU_SEM_MASK) >> PU_ROUND_SHIFT,
                                     tx.read(PU_DATA)?,
@@ -1657,6 +1664,16 @@ fn pub_under_load<F: StmFactory>(stm: &F) -> u64 {
                 if h.read_direct(PU_DATA) != pu_pay(r) {
                     lost += 1;
                 }
+            }
+            set_flag(&mut h, PU_PUBLISHED, r);
+            // Read privatization: readers go on reading, the writer reads
+            // uninstrumented behind the fence; the thaw republishes.
+            set_flag(&mut h, PU_READ_FROZEN, r);
+            h.fence();
+            let first = h.read_direct(PU_DATA);
+            let second = h.read_direct(PU_DATA);
+            if first != second || first != pu_pay(r) {
+                lost += 1;
             }
             set_flag(&mut h, PU_PUBLISHED, r);
         }

@@ -24,6 +24,15 @@
 //!   every retirement whose period has elapsed (the `kfree_rcu` to
 //!   `issue`'s `call_rcu`). Anything still retired when the engine itself
 //!   drops is freed then — exactly once in every configuration.
+//!
+//!   A blocking [`GraceTicket::wait`] costs one held scan per join: the
+//!   waiter that wins the scan lock keeps it until its own period is home —
+//!   finishing the scan in progress, then (if that was an older period)
+//!   opening its own at once — and re-checks the snapshot's active slots
+//!   with a yield between re-checks. Waiters that find the lock busy poll
+//!   `completed` and yield; none of them sleeps on a futex. Scans, and the
+//!   retire-list collection they trigger, stay serialized behind that one
+//!   lock.
 //! * [`GraceDriver`] — an *optional* background thread that retires grace
 //!   periods with **zero** pollers or waiters. Without a driver the engine
 //!   advances only cooperatively, so a fire-and-forget
@@ -55,7 +64,7 @@
 
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 use tm_chaos::{Chaos, Site};
 use tm_telemetry::{EventKind, Telemetry};
@@ -195,7 +204,46 @@ struct ScanState {
     /// When the scan opened (period closed). Always sampled — it feeds both
     /// the grace-duration histogram at completion and the stall detector's
     /// "pinned for how long" arithmetic while the scan is waiting.
-    started: Option<Instant>,
+    started: Instant,
+}
+
+/// The engine's hot words, on one cache line: every fence reads or writes
+/// most of them, and four padded lines cost four misses where one does.
+/// `open`, `completed` and `scans` are written only under the scan lock.
+#[derive(Default)]
+struct HotWords {
+    /// Period currently accepting tickets. Starts at 1.
+    open: AtomicU64,
+    /// Highest completed period: every ticket with `period <= completed`
+    /// has its grace period elapsed. Starts at 0.
+    completed: AtomicU64,
+    /// Highest period ever stamped onto an issued ticket (or a
+    /// retirement). Together with `completed` this is the engine's
+    /// *pending* view: work is outstanding exactly while
+    /// `issued > completed` (every callback is registered through an
+    /// issued ticket, so tickets subsume callbacks).
+    issued: AtomicU64,
+    /// Completed epoch-table scans (each scan retires one period, however
+    /// many tickets were batched behind it) — the coalescing measurement.
+    scans: AtomicU64,
+    /// Completion callbacks listed or being registered. A completer skips
+    /// the callback mutex while this is 0.
+    callbacks: AtomicU64,
+    /// Entries on the retire list. A completer skips the retire mutex
+    /// while this is 0.
+    retired: AtomicU64,
+}
+
+/// What the last stall check found, kept beside the scan lock so a bounded
+/// wait can name the offenders while another waiter holds the scan.
+struct StallView {
+    /// The period the stalled scan is retiring; 0 = nothing published.
+    period: u64,
+    /// When that scan opened.
+    started: Instant,
+    /// `(slot, epoch at snapshot)` of every slot found pinned; a slot whose
+    /// epoch has moved since is no longer stalled.
+    slots: Vec<(usize, u64)>,
 }
 
 /// One epoch slot the stall detector caught pinned past the threshold while
@@ -223,10 +271,17 @@ pub struct StallInfo {
 /// all resolve on that one scan.
 ///
 /// There is no dedicated grace-period thread. Periods advance
-/// *cooperatively*: any caller of [`GraceTicket::poll`] or
-/// [`GraceTicket::wait`] (or [`GraceEngine::drive`] directly) performs one
-/// bounded, non-blocking step of the scan. Waiters yield between steps —
+/// *cooperatively*: any caller of [`GraceTicket::poll`] (or
+/// [`GraceEngine::drive`] directly) performs one bounded, non-blocking
+/// step of the scan, and a [`GraceTicket::wait`] that wins the scan lock
+/// drives its period home in one hold. Waiters yield between re-checks —
 /// they never hard-spin — so the engine is safe on a single-core host.
+///
+/// Completion is a Dekker pair with registration: `on_complete` and
+/// `defer_drop_batch` bump their list's count *before* they check
+/// `completed` (or stamp the open period), and a completer reads the count
+/// *after* it stores `completed`. So a completer that reads 0 skips the
+/// list's mutex without stranding an entry that is already due.
 ///
 /// A ticket's quiescence guarantee: every critical section active when
 /// `issue` was called has completed by the time the ticket resolves. (The
@@ -240,23 +295,13 @@ pub struct StallInfo {
 /// STM runtime.
 pub struct GraceEngine {
     epochs: EpochTable,
-    /// Period currently accepting tickets. Starts at 1.
-    open: CachePadded<AtomicU64>,
-    /// Highest completed period: every ticket with `period <= completed`
-    /// has its grace period elapsed. Starts at 0.
-    completed: CachePadded<AtomicU64>,
-    /// Completed epoch-table scans (each scan retires one period, however
-    /// many tickets were batched behind it) — the coalescing measurement.
-    scans: CachePadded<AtomicU64>,
-    /// Serializes drivers; held only for one bounded step at a time.
+    /// Period numbers, scan count and list counts (see [`HotWords`]).
+    hot: CachePadded<HotWords>,
+    /// Serializes scans. [`Self::drive`] holds it for one bounded step; a
+    /// blocking wait holds it until its own period completes.
     scan: Mutex<ScanState>,
     /// Completion callbacks keyed by period, run by the completing driver.
     callbacks: Mutex<Vec<(u64, Callback)>>,
-    /// Highest period ever stamped onto an issued ticket. Together with
-    /// `completed` this is the engine's *pending* view: work is outstanding
-    /// exactly while `issued > completed` (every callback is registered
-    /// through an issued ticket, so tickets subsume callbacks).
-    issued: CachePadded<AtomicU64>,
     /// Is a [`GraceDriver`] attached? Gates the wake notification so the
     /// driver-free configuration pays nothing beyond one relaxed load per
     /// issue.
@@ -280,6 +325,9 @@ pub struct GraceEngine {
     stall_threshold_ns: AtomicU64,
     /// Total [`StallInfo`] reports raised (each slot at most once per scan).
     stall_reports: CachePadded<AtomicU64>,
+    /// The slots the last stall check found pinned, readable without the
+    /// scan lock ([`Self::current_stalls`]).
+    stalled: Mutex<StallView>,
     /// Deferred-drop list: garbage retired via
     /// [`Self::defer_drop_batch`], each entry stamped with the period that
     /// was open at retirement. Collected by the completing scan; whatever
@@ -298,18 +346,19 @@ pub struct GraceEngine {
 impl GraceEngine {
     /// An engine over a fresh [`EpochTable`] with `nthreads` slots.
     pub fn new(nthreads: usize) -> Arc<Self> {
+        let now = Instant::now();
         Arc::new(GraceEngine {
             epochs: EpochTable::new(nthreads),
-            open: CachePadded::new(AtomicU64::new(1)),
-            completed: CachePadded::new(AtomicU64::new(0)),
-            scans: CachePadded::new(AtomicU64::new(0)),
+            hot: CachePadded::new(HotWords {
+                open: AtomicU64::new(1),
+                ..HotWords::default()
+            }),
             scan: Mutex::new(ScanState {
                 target: 0,
                 pending: Vec::new(),
-                started: None,
+                started: now,
             }),
             callbacks: Mutex::new(Vec::new()),
-            issued: CachePadded::new(AtomicU64::new(0)),
             driver_attached: AtomicBool::new(false),
             wake: Mutex::new(()),
             wake_cv: Condvar::new(),
@@ -317,6 +366,11 @@ impl GraceEngine {
             chaos: OnceLock::new(),
             stall_threshold_ns: AtomicU64::new(Self::DEFAULT_STALL_THRESHOLD.as_nanos() as u64),
             stall_reports: CachePadded::new(AtomicU64::new(0)),
+            stalled: Mutex::new(StallView {
+                period: 0,
+                started: now,
+                slots: Vec::new(),
+            }),
             retired: Mutex::new(Vec::new()),
             retired_total: CachePadded::new(AtomicU64::new(0)),
             collected_total: CachePadded::new(AtomicU64::new(0)),
@@ -373,19 +427,19 @@ impl GraceEngine {
 
     /// The period currently accepting tickets.
     pub fn open_period(&self) -> u64 {
-        self.open.load(Ordering::SeqCst)
+        self.hot.open.load(Ordering::SeqCst)
     }
 
     /// Highest completed period.
     pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::SeqCst)
+        self.hot.completed.load(Ordering::SeqCst)
     }
 
     /// Number of full epoch-table scans performed so far. One scan retires
     /// one period — and with it every ticket the period coalesced — so
     /// `tickets issued / scans` is the batching factor.
     pub fn scans(&self) -> u64 {
-        self.scans.load(Ordering::SeqCst)
+        self.hot.scans.load(Ordering::SeqCst)
     }
 
     /// Has `period` completed?
@@ -396,7 +450,7 @@ impl GraceEngine {
     /// Highest period ever stamped onto an issued ticket (0 before the
     /// first issue). This is the period a background driver drives toward.
     pub fn issued(&self) -> u64 {
-        self.issued.load(Ordering::SeqCst)
+        self.hot.issued.load(Ordering::SeqCst)
     }
 
     /// Is any issued ticket's period still incomplete? The view a
@@ -422,11 +476,8 @@ impl GraceEngine {
     /// active now has completed. Wakes the attached [`GraceDriver`], if
     /// any, so fire-and-forget tickets retire without any poller.
     pub fn issue(self: &Arc<Self>) -> GraceTicket {
-        let period = self.open.load(Ordering::SeqCst);
-        // fetch_max, not store: a concurrent scan may have closed a later
-        // period between our load and this line, and `issued` must never
-        // move backwards past a stamp another issuer already published.
-        self.issued.fetch_max(period, Ordering::SeqCst);
+        let period = self.hot.open.load(Ordering::SeqCst);
+        self.raise_issued(period);
         self.notify_driver();
         GraceTicket {
             engine: Arc::clone(self),
@@ -457,17 +508,37 @@ impl GraceEngine {
     /// the latest when the engine drops. Either way each retired box is
     /// dropped exactly once.
     pub fn defer_drop_batch(&self, garbage: Retired, cells: u64) {
-        let period = self.open.load(Ordering::SeqCst);
-        self.retired.lock().unwrap().push(RetireEntry {
-            period,
-            cells,
-            _garbage: garbage,
-        });
+        let period = {
+            let mut retired = self.retired.lock().unwrap();
+            // Count, then stamp (the Dekker order on `GraceEngine`): a
+            // completer that reads the count as 0 read it before our bump,
+            // so its scan had closed its period before our stamp, and the
+            // stamp names a later period than the one it completed.
+            self.hot.retired.fetch_add(1, Ordering::SeqCst);
+            let period = self.hot.open.load(Ordering::SeqCst);
+            retired.push(RetireEntry {
+                period,
+                cells,
+                _garbage: garbage,
+            });
+            period
+        };
         self.retired_total.fetch_add(cells, Ordering::SeqCst);
         // Mirror `issue`: raise the pending view so a driver (or drop
         // drain) knows reclamation work is outstanding, and wake it.
-        self.issued.fetch_max(period, Ordering::SeqCst);
+        self.raise_issued(period);
         self.notify_driver();
+    }
+
+    /// Raise `issued` to at least `period`. A plain load first: it is
+    /// usually there already, and the RMW then costs the shared line for
+    /// nothing. `fetch_max`, not store: a concurrent scan may have closed a
+    /// later period since our stamp, and `issued` must never move backwards
+    /// past a stamp another issuer already published.
+    fn raise_issued(&self, period: u64) {
+        if self.hot.issued.load(Ordering::SeqCst) < period {
+            self.hot.issued.fetch_max(period, Ordering::SeqCst);
+        }
     }
 
     /// Total cells ever retired through [`Self::defer_drop`] /
@@ -502,7 +573,13 @@ impl GraceEngine {
         let due: Vec<RetireEntry> = {
             let mut retired = self.retired.lock().unwrap();
             let completed = self.completed();
-            retired.extract_if(.., |e| e.period <= completed).collect()
+            let due: Vec<RetireEntry> = retired.extract_if(.., |e| e.period <= completed).collect();
+            if !due.is_empty() {
+                self.hot
+                    .retired
+                    .fetch_sub(due.len() as u64, Ordering::SeqCst);
+            }
+            due
         };
         if due.is_empty() {
             return;
@@ -513,12 +590,78 @@ impl GraceEngine {
         drop(due);
     }
 
+    /// Close the open period and snapshot the epoch table into `st`. Only
+    /// called with no scan in progress, under the scan lock — the one
+    /// writer of `open` — so a plain store closes the period. Tickets
+    /// issued from here on join the next one; the snapshot is therefore
+    /// taken after every coalesced ticket's issue, as the quiescence
+    /// guarantee needs.
+    fn open_scan(&self, st: &mut ScanState) {
+        let target = self.hot.open.load(Ordering::SeqCst);
+        self.hot.open.store(target + 1, Ordering::SeqCst);
+        st.target = target;
+        st.pending.clear();
+        // Sampled unconditionally: the stall detector needs a wall-clock
+        // origin while the scan waits, not only at completion. One clock
+        // read per scan, amortized over the whole table sweep.
+        st.started = Instant::now();
+        for t in 0..self.epochs.nthreads() {
+            let e = self.epochs.epoch(t);
+            if e % 2 == 1 {
+                st.pending.push(PendingSlot {
+                    slot: t,
+                    epoch: e,
+                    reported: false,
+                });
+            }
+        }
+    }
+
+    /// Re-check the in-progress scan's pending slots once; if none is left,
+    /// complete its period and return it with the scan's start. `scans`
+    /// and `completed` are written only here, under the scan lock, so
+    /// plain stores do.
+    fn try_complete(&self, st: &mut ScanState) -> Option<(u64, Instant)> {
+        st.pending.retain(|p| self.epochs.epoch(p.slot) == p.epoch);
+        if !st.pending.is_empty() {
+            return None;
+        }
+        let done = st.target;
+        st.target = 0;
+        let scans = self.hot.scans.load(Ordering::Relaxed);
+        self.hot.scans.store(scans + 1, Ordering::SeqCst);
+        self.hot.completed.store(done, Ordering::SeqCst);
+        Some((done, st.started))
+    }
+
+    /// Telemetry for a completed scan: into `joiner`'s own slot cell when a
+    /// handle's fence join completed it, into the engine cell otherwise.
+    fn record_scan(&self, joiner: Option<u16>, (period, started): (u64, Instant)) {
+        if let Some(tel) = self.telemetry.get() {
+            let slot = joiner.unwrap_or_else(|| tel.engine_slot());
+            tel.record_grace_scan(slot, period, started);
+        }
+    }
+
+    /// The rest of a completion, after the scan lock is released: run due
+    /// callbacks and collect due retirements. Each list's mutex is skipped
+    /// while its count reads 0; the counts are read after the `completed`
+    /// store (the Dekker order on [`GraceEngine`]).
+    fn after_completion(&self) {
+        if self.hot.callbacks.load(Ordering::SeqCst) != 0 {
+            self.run_callbacks();
+        }
+        if self.hot.retired.load(Ordering::SeqCst) != 0 {
+            self.collect_retired();
+        }
+    }
+
     /// One cooperative, non-blocking driving step toward completing
     /// `period`; returns whether it has completed. If no scan is in
     /// progress, this closes the open period and snapshots the epoch table;
     /// otherwise it re-checks the in-progress scan's pending slots once.
     /// Never waits: callers that need completion loop with `yield_now`
-    /// between steps (which is exactly what [`GraceTicket::wait`] does).
+    /// between steps, or block in [`GraceTicket::wait`].
     pub fn drive(&self, period: u64) -> bool {
         if self.is_complete(period) {
             return true;
@@ -534,42 +677,98 @@ impl GraceEngine {
             chaos.maybe_delay(Site::GraceScan);
         }
         if st.target == 0 {
-            // Close the open period; tickets issued from here on join the
-            // next one. The snapshot below is therefore taken after every
-            // coalesced ticket's issue, as the quiescence guarantee needs.
-            let target = self.open.fetch_add(1, Ordering::SeqCst);
-            st.target = target;
-            st.pending.clear();
-            // Sampled unconditionally: the stall detector needs a wall-clock
-            // origin while the scan waits, not only at completion. One clock
-            // read per scan, amortized over the whole table sweep.
-            st.started = Some(Instant::now());
-            for t in 0..self.epochs.nthreads() {
-                let e = self.epochs.epoch(t);
-                if e % 2 == 1 {
-                    st.pending.push(PendingSlot {
-                        slot: t,
-                        epoch: e,
-                        reported: false,
-                    });
-                }
+            // Completed while we took the lock: opening a scan now would
+            // retire a period nobody asked for.
+            if self.is_complete(period) {
+                return true;
             }
+            self.open_scan(&mut st);
         }
-        st.pending.retain(|p| self.epochs.epoch(p.slot) == p.epoch);
-        if st.pending.is_empty() {
-            let done = st.target;
-            st.target = 0;
-            let started = st.started.take();
-            self.scans.fetch_add(1, Ordering::SeqCst);
-            self.completed.store(done, Ordering::SeqCst);
-            drop(st);
-            if let (Some(tel), Some(s0)) = (self.telemetry.get(), started) {
-                tel.record_grace_scan(done, s0);
-            }
-            self.run_callbacks();
-            self.collect_retired();
+        let done = self.try_complete(&mut st);
+        drop(st);
+        if let Some(done) = done {
+            self.record_scan(None, done);
+            self.after_completion();
         }
         self.is_complete(period)
+    }
+
+    /// Block until `period` completes, or until `deadline` passes; returns
+    /// whether it completed. The one wait loop behind [`GraceTicket::wait`]
+    /// and [`GraceTicket::wait_timeout`]: poll `completed`, and whoever
+    /// wins the scan lock drives the period home in one hold
+    /// ([`Self::drive_held`]). Losers yield and try again; nobody sleeps
+    /// on the lock.
+    fn wait_for(&self, period: u64, joiner: Option<u16>, deadline: Option<Instant>) -> bool {
+        loop {
+            if self.is_complete(period) {
+                return true;
+            }
+            if let Ok(st) = self.scan.try_lock() {
+                return self.drive_held(st, period, joiner, deadline);
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return self.is_complete(period);
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Re-checks of a held scan between stall-detector runs: rare enough
+    /// that the `Instant` sample costs nothing against thousands of yields,
+    /// frequent enough that a stalled wait reports within tens of
+    /// milliseconds.
+    const STALL_CHECK_EVERY: u32 = 1024;
+
+    /// Drive `period` home under the held scan lock `st`: continue the scan
+    /// in progress, or close the open period and snapshot; re-check the
+    /// snapshot's active slots, yielding between re-checks. A completed
+    /// *older* period is followed at once by our own scan, without
+    /// releasing the lock. Every [`Self::STALL_CHECK_EVERY`] re-checks, and
+    /// at the deadline, the stall detector runs on the held state, since
+    /// nobody else can while we hold it. Telemetry of the last completed
+    /// scan, callbacks and collection run after the lock is released.
+    fn drive_held(
+        &self,
+        mut st: MutexGuard<'_, ScanState>,
+        period: u64,
+        joiner: Option<u16>,
+        deadline: Option<Instant>,
+    ) -> bool {
+        let mut last = None;
+        let mut rechecks = 0u32;
+        let reached = loop {
+            if let Some(chaos) = self.chaos.get() {
+                chaos.maybe_delay(Site::GraceScan);
+            }
+            if st.target == 0 {
+                if self.is_complete(period) {
+                    break true;
+                }
+                self.open_scan(&mut st);
+            }
+            if let Some(done) = self.try_complete(&mut st) {
+                if let Some(older) = last.replace(done) {
+                    self.record_scan(joiner, older);
+                }
+                continue;
+            }
+            rechecks = rechecks.wrapping_add(1);
+            let expired = deadline.is_some_and(|d| Instant::now() >= d);
+            if expired || rechecks.is_multiple_of(Self::STALL_CHECK_EVERY) {
+                self.collect_stalls(&mut st);
+            }
+            if expired {
+                break false;
+            }
+            std::thread::yield_now();
+        };
+        drop(st);
+        if let Some(done) = last {
+            self.record_scan(joiner, done);
+            self.after_completion();
+        }
+        reached
     }
 
     /// Stall detection: if the in-progress scan has been waiting past the
@@ -578,65 +777,84 @@ impl GraceEngine {
     /// [`EventKind::StallReport`] on the telemetry engine slot for each.
     /// Returns the *newly* reported stalls. Called from the [`GraceDriver`]
     /// tick and from bounded ticket waits; cheap when no scan is open
-    /// (one `try_lock`), and never blocks on a busy scan lock.
+    /// (one `try_lock`), and never blocks on a busy scan lock — a waiter
+    /// holding the lock runs the same check on the state it holds.
     pub fn check_stalls(&self) -> Vec<StallInfo> {
         let Ok(mut st) = self.scan.try_lock() else {
             return Vec::new();
         };
-        self.collect_stalls(&mut st, true)
+        self.collect_stalls(&mut st)
     }
 
-    /// The slots currently pinned past the stall threshold, without the
-    /// once-per-scan dedup or telemetry side effects — the view a timed-out
-    /// fence wait embeds in its error so the caller can name the offender
-    /// even when the driver tick already reported it.
+    /// The slots pinned past the stall threshold as of the last stall
+    /// check, less any that have moved since, without the once-per-scan
+    /// dedup or telemetry side effects — the view a timed-out fence wait
+    /// embeds in its error so the caller can name the offender even when
+    /// the driver tick already reported it. Does not take the scan lock,
+    /// so it answers while a blocked waiter holds it.
     pub fn current_stalls(&self) -> Vec<StallInfo> {
-        let Ok(mut st) = self.scan.try_lock() else {
+        let view = self.stalled.lock().unwrap();
+        if view.period == 0 || self.is_complete(view.period) {
             return Vec::new();
-        };
-        self.collect_stalls(&mut st, false)
+        }
+        let pinned = view.started.elapsed();
+        view.slots
+            .iter()
+            .filter(|&&(slot, epoch)| self.epochs.epoch(slot) == epoch)
+            .map(|&(slot, _)| StallInfo {
+                slot,
+                pinned,
+                period: view.period,
+            })
+            .collect()
     }
 
-    fn collect_stalls(&self, st: &mut ScanState, report: bool) -> Vec<StallInfo> {
+    /// Run the stall check on the held scan state: publish every pinned
+    /// slot for [`Self::current_stalls`] and report the new ones.
+    fn collect_stalls(&self, st: &mut ScanState) -> Vec<StallInfo> {
         if st.target == 0 {
             return Vec::new();
         }
-        let Some(s0) = st.started else {
-            return Vec::new();
-        };
-        let pinned = s0.elapsed();
+        let pinned = st.started.elapsed();
         if pinned < self.stall_threshold() {
             return Vec::new();
         }
         let period = st.target;
-        let mut out = Vec::new();
-        for p in st.pending.iter_mut() {
+        {
+            let mut view = self.stalled.lock().unwrap();
+            view.period = period;
+            view.started = st.started;
+            view.slots.clear();
             // A slot that moved since the snapshot is no stall — the scan
             // just has not re-checked yet.
-            if self.epochs.epoch(p.slot) != p.epoch {
+            view.slots.extend(
+                st.pending
+                    .iter()
+                    .filter(|p| self.epochs.epoch(p.slot) == p.epoch)
+                    .map(|p| (p.slot, p.epoch)),
+            );
+        }
+        let mut fresh = Vec::new();
+        for p in st.pending.iter_mut() {
+            if p.reported || self.epochs.epoch(p.slot) != p.epoch {
                 continue;
             }
-            if report {
-                if p.reported {
-                    continue;
-                }
-                p.reported = true;
-                self.stall_reports.fetch_add(1, Ordering::SeqCst);
-                if let Some(tel) = self.telemetry.get() {
-                    tel.record_engine_event(EventKind::StallReport {
-                        stalled_slot: p.slot as u64,
-                        pinned_ns: pinned.as_nanos() as u64,
-                        period,
-                    });
-                }
+            p.reported = true;
+            self.stall_reports.fetch_add(1, Ordering::SeqCst);
+            if let Some(tel) = self.telemetry.get() {
+                tel.record_engine_event(EventKind::StallReport {
+                    stalled_slot: p.slot as u64,
+                    pinned_ns: pinned.as_nanos() as u64,
+                    period,
+                });
             }
-            out.push(StallInfo {
+            fresh.push(StallInfo {
                 slot: p.slot,
                 pinned,
                 period,
             });
         }
-        out
+        fresh
     }
 
     /// Register `f` to run when `period` completes (immediately, on this
@@ -645,17 +863,21 @@ impl GraceEngine {
     /// bounded time even if nobody ever polls or waits; without one it
     /// rides whichever caller next drives the engine.
     pub fn on_complete(&self, period: u64, f: impl FnOnce() + Send + 'static) {
-        {
+        if !self.is_complete(period) {
+            // Count, then check (the Dekker order on `GraceEngine`): either
+            // we observe completion below, or the completer reads our bump
+            // after its `completed` store and drains the list — taking the
+            // lock we push under, so it sees the push.
+            self.hot.callbacks.fetch_add(1, Ordering::SeqCst);
             let mut cbs = self.callbacks.lock().unwrap();
-            // Checked under the lock: the completing driver stores
-            // `completed` *before* draining callbacks, so either we observe
-            // completion here or our push is visible to its drain.
             if !self.is_complete(period) {
                 cbs.push((period, Box::new(f)));
                 drop(cbs);
                 self.notify_driver();
                 return;
             }
+            drop(cbs);
+            self.hot.callbacks.fetch_sub(1, Ordering::SeqCst);
         }
         f();
     }
@@ -666,15 +888,15 @@ impl GraceEngine {
         let due: Vec<Callback> = {
             let mut cbs = self.callbacks.lock().unwrap();
             let completed = self.completed();
-            let mut due = Vec::new();
-            cbs.retain_mut(|(p, f)| {
-                if *p <= completed {
-                    due.push(std::mem::replace(f, Box::new(|| ())));
-                    false
-                } else {
-                    true
-                }
-            });
+            let due: Vec<Callback> = cbs
+                .extract_if(.., |(p, _)| *p <= completed)
+                .map(|(_, f)| f)
+                .collect();
+            if !due.is_empty() {
+                self.hot
+                    .callbacks
+                    .fetch_sub(due.len() as u64, Ordering::SeqCst);
+            }
             due
         };
         for f in due {
@@ -709,28 +931,33 @@ impl GraceTicket {
         self.engine.drive(self.period)
     }
 
-    /// Block (cooperatively) until the grace period has elapsed: drive one
-    /// step, yield, repeat. Never hard-spins — on a single-core host the
-    /// yield is what lets the awaited transactions run at all. Periodically
-    /// runs the [stall detector](GraceEngine::check_stalls), so an unbounded
-    /// wait pinned by a parked transaction at least *names* the offender in
-    /// telemetry while it waits.
+    /// Block (cooperatively) until the grace period has elapsed. One held
+    /// scan per join: if this waiter wins the scan lock it keeps it until
+    /// the period is home — finishing the scan in progress, then opening
+    /// its own at once if that scan retired an older period — and re-checks
+    /// the snapshot's active slots with a yield between re-checks. A waiter
+    /// that finds the lock busy polls `completed` and yields; it never
+    /// sleeps on the lock. Never hard-spins — on a single-core host the
+    /// yield is what lets the awaited transactions run at all. The lock
+    /// holder periodically runs the [stall
+    /// detector](GraceEngine::check_stalls), so an unbounded wait pinned by
+    /// a parked transaction at least *names* the offender in telemetry
+    /// while it waits.
+    ///
+    /// Scans this wait completes are recorded in the telemetry engine cell;
+    /// [`Self::wait_as`] records them on the waiting handle's slot.
     pub fn wait(&self) {
-        let mut steps = 0u32;
-        while !self.engine.drive(self.period) {
-            steps = steps.wrapping_add(1);
-            if steps.is_multiple_of(Self::STALL_CHECK_EVERY) {
-                self.engine.check_stalls();
-            }
-            std::thread::yield_now();
-        }
+        self.wait_as(None);
     }
 
-    /// Driving steps between stall-detector runs inside [`Self::wait`] /
-    /// [`Self::wait_timeout`]: rare enough that the `Instant` sample and
-    /// scan `try_lock` cost nothing against thousands of yields, frequent
-    /// enough that a stalled wait reports within tens of milliseconds.
-    const STALL_CHECK_EVERY: u32 = 1024;
+    /// [`Self::wait`] on behalf of the thread that owns telemetry slot
+    /// `joiner`: the grace scans this wait completes (the `Grace` latency
+    /// sample and the `GraceScan` event) go to that slot's single-writer
+    /// cell instead of the mutex-guarded engine cell. Only the slot's
+    /// owning thread may pass `Some`.
+    pub fn wait_as(&self, joiner: Option<u16>) {
+        self.engine.wait_for(self.period, joiner, None);
+    }
 
     /// [`Self::wait`], bounded: give up after `timeout`, returning a
     /// [`WaitTimeout`] that names every slot the scan is pinned on. The
@@ -738,27 +965,29 @@ impl GraceTicket {
     /// and may be re-waited, polled, or handed a callback; a timeout only
     /// bounds *this* wait, it never abandons the period.
     pub fn wait_timeout(&self, timeout: Duration) -> Result<(), WaitTimeout> {
+        self.wait_timeout_as(timeout, None)
+    }
+
+    /// [`Self::wait_timeout`] on behalf of the owner of telemetry slot
+    /// `joiner` (see [`Self::wait_as`]).
+    pub fn wait_timeout_as(
+        &self,
+        timeout: Duration,
+        joiner: Option<u16>,
+    ) -> Result<(), WaitTimeout> {
         let deadline = Instant::now() + timeout;
-        let mut steps = 0u32;
-        while !self.engine.drive(self.period) {
-            steps = steps.wrapping_add(1);
-            if steps.is_multiple_of(Self::STALL_CHECK_EVERY) {
-                self.engine.check_stalls();
-            }
-            if Instant::now() >= deadline {
-                // Report (driver may be absent) and collect the undeduped
-                // view, so the error names offenders already reported by an
-                // earlier tick.
-                self.engine.check_stalls();
-                return Err(WaitTimeout {
-                    period: self.period,
-                    waited: timeout,
-                    stalled: self.engine.current_stalls(),
-                });
-            }
-            std::thread::yield_now();
+        if self.engine.wait_for(self.period, joiner, Some(deadline)) {
+            return Ok(());
         }
-        Ok(())
+        // Report (driver may be absent) and collect the undeduped view, so
+        // the error names offenders already reported by an earlier tick or
+        // by the waiter holding the scan.
+        self.engine.check_stalls();
+        Err(WaitTimeout {
+            period: self.period,
+            waited: timeout,
+            stalled: self.engine.current_stalls(),
+        })
     }
 
     /// Run `f` when the grace period elapses (immediately if it already
@@ -1282,6 +1511,100 @@ mod tests {
             eng.epochs().exit(3);
         });
         assert_eq!(eng.scans(), 1, "waiters must share the period's scan");
+    }
+
+    /// A wait whose period sits behind an in-progress scan finishes that
+    /// scan and then runs its own: exactly two scans, whichever waiter
+    /// holds the lock, and the later period is not retired early.
+    #[test]
+    fn a_wait_behind_an_in_progress_scan_takes_exactly_two_scans() {
+        let eng = GraceEngine::new(2);
+        eng.epochs().enter(0);
+        let first = eng.issue();
+        assert!(!first.poll(), "the period-1 scan now pends on slot 0");
+        let second = eng.issue();
+        assert_eq!(second.period(), 2, "period 2 opened behind it");
+        std::thread::scope(|s| {
+            s.spawn(|| first.wait());
+            let behind = s.spawn(|| second.wait());
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!behind.is_finished(), "slot 0 still pins period 1");
+            assert_eq!(eng.scans(), 0);
+            eng.epochs().exit(0);
+        });
+        assert_eq!(eng.scans(), 2, "the older scan, then ours");
+        assert_eq!((eng.completed(), eng.open_period()), (2, 3));
+    }
+
+    /// The Dekker pair between registration and completion: one thread
+    /// keeps registering callbacks and retirements while another keeps
+    /// completing periods. After a final wait every callback has fired
+    /// exactly once and every retired cell has been collected — a
+    /// completer that skipped a list on a zero count stranded nothing.
+    #[test]
+    fn registrations_racing_completions_are_never_stranded() {
+        const N: usize = 2_000;
+        let eng = GraceEngine::new(2);
+        let fired: Arc<Vec<AtomicUsize>> = Arc::new((0..N).map(|_| AtomicUsize::new(0)).collect());
+        let drops = Arc::new(AtomicUsize::new(0));
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..N {
+                    let fired = Arc::clone(&fired);
+                    eng.issue().on_complete(move || {
+                        fired[i].fetch_add(1, Ordering::SeqCst);
+                    });
+                    eng.defer_drop_batch(counted_batch(&drops, 2), 2);
+                    if i % 16 == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            s.spawn(|| {
+                while !done.load(Ordering::SeqCst) {
+                    eng.issue().wait();
+                }
+            });
+        });
+        eng.issue().wait();
+        for (i, f) in fired.iter().enumerate() {
+            assert_eq!(f.load(Ordering::SeqCst), 1, "callback {i}");
+        }
+        assert_eq!(eng.retired_boxes(), 2 * N as u64);
+        assert_eq!(eng.collected_boxes(), eng.retired_boxes());
+        assert_eq!(drops.load(Ordering::SeqCst), 2 * N);
+        assert_eq!(eng.retired_pending(), 0);
+    }
+
+    /// The same pair with no final wait to sweep up: under a driver, each
+    /// registration must be served by the completion it raced. A completer
+    /// that skipped a list on a stale zero count would leave the driver
+    /// parked (nothing pending) over a due callback or retirement.
+    #[test]
+    fn driver_serves_every_registration_without_a_later_wait() {
+        let eng = GraceEngine::new(2);
+        let _driver = GraceDriver::spawn(Arc::clone(&eng), GraceDriver::DEFAULT_TICK);
+        let drops = Arc::new(AtomicUsize::new(0));
+        for i in 0..200u64 {
+            // The issue wakes the driver, which closes and completes the
+            // period while each registration below races it; nothing after
+            // the registration wakes the driver again.
+            let fired = Arc::new(AtomicBool::new(false));
+            {
+                let fired = Arc::clone(&fired);
+                eng.issue()
+                    .on_complete(move || fired.store(true, Ordering::SeqCst));
+            }
+            sleep_until("the raced callback", || fired.load(Ordering::SeqCst));
+            let _ticket = eng.issue();
+            eng.defer_drop_batch(counted_batch(&drops, 1), 1);
+            sleep_until("the raced retirement", || {
+                drops.load(Ordering::SeqCst) as u64 == i + 1
+            });
+        }
+        assert_eq!(eng.collected_boxes(), eng.retired_boxes());
     }
 
     /// Sleep-wait (NOT poll — polling would drive the engine and defeat

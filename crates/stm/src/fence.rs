@@ -134,14 +134,15 @@ impl FenceTicket {
     }
 
     /// [`Self::wait`] on behalf of the handle that owns thread slot
-    /// `joiner` ([`StmHandle::fence_join`]).
+    /// `joiner` ([`StmHandle::fence_join`]): grace scans the wait completes
+    /// are traced on that slot's own telemetry cell.
     pub(crate) fn wait_as(&mut self, joiner: Option<u16>) -> Duration {
         if self.resolved {
             return Duration::ZERO;
         }
         let start = Instant::now();
         if let Some(g) = &self.grace {
-            g.wait();
+            g.wait_as(joiner);
         }
         let end = Instant::now();
         self.resolve(Some(end), joiner);
@@ -176,7 +177,7 @@ impl FenceTicket {
         }
         let start = Instant::now();
         if let Some(g) = &self.grace {
-            if let Err(e) = g.wait_timeout(timeout) {
+            if let Err(e) = g.wait_timeout_as(timeout, joiner) {
                 return Err(FenceTimeout {
                     period: e.period,
                     waited: start.elapsed(),

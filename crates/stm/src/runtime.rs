@@ -1266,7 +1266,7 @@ impl<P: Policy> Handle<P> {
 /// An algorithm's construction recipe: how to build its instance-shared
 /// state and mint per-thread [`Policy`] values from it. Implementing this
 /// (plus [`Policy`]) is *all* a new algorithm needs — the [`Stm`] frontend
-/// supplies `new`/`with_recorder`/`with_config`/`handle`/`peek` and the
+/// supplies `new`/`with_config`/`handle`/`peek` and the
 /// [`StmFactory`] impl once, for every algorithm.
 pub trait PolicyKind: 'static {
     /// The per-thread policy type.
@@ -1315,14 +1315,6 @@ impl<K: PolicyKind> Stm<K> {
     /// default backoff, no recorder.
     pub fn new(nregs: usize, nthreads: usize) -> Self {
         Self::with_config(StmConfig::new(nregs, nthreads))
-    }
-
-    /// Attach a [`Recorder`]; every handle then logs its TM interface
-    /// actions for offline DRF / strong-opacity checking.
-    pub fn with_recorder(nregs: usize, nthreads: usize, recorder: Option<Arc<Recorder>>) -> Self {
-        let mut cfg = StmConfig::new(nregs, nthreads);
-        cfg.recorder = recorder;
-        Self::with_config(cfg)
     }
 
     /// Full construction-time control: storage backend, backoff tuning,

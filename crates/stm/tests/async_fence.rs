@@ -146,7 +146,7 @@ fn on_complete_callback_fires() {
 #[test]
 fn dropped_ticket_resolves_and_records() {
     let rec = Arc::new(Recorder::new(1));
-    let stm = Tl2Stm::with_recorder(2, 1, Some(Arc::clone(&rec)));
+    let stm = Tl2Stm::with_config(StmConfig::new(2, 1).recorder(Arc::clone(&rec)));
     let mut h = stm.handle(0);
     h.atomic(|tx| tx.write(0, 1));
     {
@@ -165,7 +165,7 @@ fn dropped_ticket_resolves_and_records() {
 #[test]
 fn recorded_async_fence_history_validates() {
     let rec = Arc::new(Recorder::new(2));
-    let stm = Tl2Stm::with_recorder(4, 2, Some(Arc::clone(&rec)));
+    let stm = Tl2Stm::with_config(StmConfig::new(4, 2).recorder(Arc::clone(&rec)));
     let mut h0 = stm.handle(0);
     let mut h1 = stm.handle(1);
     h1.atomic(|tx| tx.write(0, 1));

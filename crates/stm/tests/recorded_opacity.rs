@@ -43,7 +43,7 @@ fn check_history(rec: &Recorder, expect_drf: bool) {
 #[test]
 fn transactional_only_history_is_opaque() {
     let rec = Arc::new(Recorder::new(3));
-    let stm = Tl2Stm::with_recorder(6, 3, Some(Arc::clone(&rec)));
+    let stm = Tl2Stm::with_config(StmConfig::new(6, 3).recorder(Arc::clone(&rec)));
     std::thread::scope(|s| {
         for t in 0..3 {
             let stm = stm.clone();
@@ -70,7 +70,7 @@ fn fenced_privatization_history_is_drf_and_opaque() {
     const FLAG: usize = 0;
     const DATA: usize = 1;
     let rec = Arc::new(Recorder::new(2));
-    let stm = Tl2Stm::with_recorder(2, 2, Some(Arc::clone(&rec)));
+    let stm = Tl2Stm::with_config(StmConfig::new(2, 2).recorder(Arc::clone(&rec)));
     std::thread::scope(|s| {
         let stm0 = stm.clone();
         s.spawn(move || {
@@ -111,7 +111,7 @@ fn fenced_privatization_history_is_drf_and_opaque() {
 #[test]
 fn unfenced_mixed_access_history_is_racy() {
     let rec = Arc::new(Recorder::new(2));
-    let stm = Tl2Stm::with_recorder(1, 2, Some(Arc::clone(&rec)));
+    let stm = Tl2Stm::with_config(StmConfig::new(1, 2).recorder(Arc::clone(&rec)));
     std::thread::scope(|s| {
         let stm0 = stm.clone();
         let barrier = Arc::new(std::sync::Barrier::new(2));
@@ -143,7 +143,7 @@ fn unfenced_mixed_access_history_is_racy() {
 #[test]
 fn audit_history_roundtrip() {
     let rec = Arc::new(Recorder::new(2));
-    let stm = Tl2Stm::with_recorder(4, 2, Some(Arc::clone(&rec)));
+    let stm = Tl2Stm::with_config(StmConfig::new(4, 2).recorder(Arc::clone(&rec)));
     std::thread::scope(|s| {
         let stm0 = stm.clone();
         s.spawn(move || {

@@ -117,3 +117,77 @@ fn background_driver_reports_stalls_with_zero_pollers() {
     // End the stall so runtime drop can drain the outstanding period.
     rt.epochs().exit(1);
 }
+
+/// Stall detection survives a waiter that holds the scan lock: handle A is
+/// parked inside a transaction, handle B is blocked in `fence_join` (its
+/// wait holds the scan until the period completes), and handle C's bounded
+/// join on the same period still comes back naming A's slot — in both
+/// driver modes, since neither a driver tick nor C can take the lock B
+/// holds.
+#[test]
+fn a_bounded_join_names_the_stall_while_a_blocked_joiner_holds_the_scan() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    for mode in DriverMode::ALL {
+        let stm = Tl2Stm::with_config(
+            StmConfig::new(4, 3)
+                .grace_driver(mode)
+                .trace(TraceConfig::with_capacity(64))
+                .chaos_off(),
+        );
+        let rt = stm.runtime();
+        rt.grace().set_stall_threshold(Duration::from_millis(5));
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let b_done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let a = {
+                let stm = stm.clone();
+                s.spawn(move || {
+                    let mut ha = stm.handle(0);
+                    let mut park = Some((parked_tx, release_rx));
+                    ha.atomic(|tx| {
+                        if let Some((parked, release)) = park.take() {
+                            parked.send(()).unwrap();
+                            release.recv().unwrap();
+                        }
+                        tx.write(0, 1)
+                    });
+                    ha.slot()
+                })
+            };
+            parked_rx.recv().unwrap();
+            let mut hb = stm.handle(1);
+            let mut hc = stm.handle(2);
+            // Issued back to back: both land in the open period (under the
+            // background driver a close may fall between them; C then waits
+            // behind B's period, which changes nothing checked here).
+            let tb = hb.fence_async();
+            let mut tc = hc.fence_async();
+            let b = {
+                let b_done = &b_done;
+                s.spawn(move || {
+                    hb.fence_join(tb);
+                    b_done.store(true, Ordering::SeqCst);
+                })
+            };
+            std::thread::sleep(Duration::from_millis(20));
+            let joined = hc.fence_join_timeout(&mut tc, Duration::from_millis(200));
+            let b_blocked = !b_done.load(Ordering::SeqCst);
+            // Unpark A before judging, so a failed assertion cannot leave
+            // the scope waiting on a transaction that never ends.
+            release_tx.send(()).unwrap();
+            assert_eq!(a.join().unwrap(), 0);
+            b.join().unwrap();
+            let err = joined.expect_err("A pins the period");
+            assert!(b_blocked, "{mode:?}: B was still blocked in fence_join");
+            assert!(
+                err.stalled.iter().any(|st| st.slot == 0),
+                "{mode:?}: the timeout names A's slot: {err}"
+            );
+            assert!(hc.stats().stalls_detected >= 1);
+            assert!(rt.grace().stall_reports() >= 1, "{mode:?}: reported");
+            hc.fence_join(tc);
+        });
+    }
+}

@@ -517,8 +517,9 @@ fn concurrent_snapshots_never_block_and_never_tear() {
     assert_eq!(snap.hists.fence_wait.count(), fences, "quiescent: exact");
 }
 
-/// The engine cell takes writes from any thread: with two threads driving
-/// grace periods, every completed scan is in the histogram and the ring.
+/// With two threads driving grace periods, every completed scan is in the
+/// histogram and the ring (each on the cell of the thread that completed
+/// it).
 #[test]
 fn grace_scans_from_two_threads_are_all_recorded() {
     let stm = Tl2Stm::with_config(StmConfig::new(2, 2).trace(TraceConfig::with_capacity(4096)));
@@ -545,6 +546,57 @@ fn grace_scans_from_two_threads_are_all_recorded() {
         scans
     );
     assert_eq!(snap.dropped, 0);
+}
+
+/// Fence-driven grace scans are traced on the joiner's own slot: with
+/// fences joined on two handles, every scan is in the merged grace
+/// histogram exactly once, every `GraceScan` event carries the slot of a
+/// joining handle (none lands on the engine slot — nothing else completes
+/// a scan under the cooperative driver), and each handle's
+/// `Stats::fence_wait_ns` still sums to the fence-wait histogram.
+#[test]
+fn fence_driven_grace_scans_land_on_the_joiners_slot() {
+    let stm = Tl2Stm::with_config(
+        StmConfig::new(2, 2)
+            .grace_driver(DriverMode::Cooperative)
+            .trace(TraceConfig::with_capacity(4096)),
+    );
+    let stats: Vec<Stats> = std::thread::scope(|s| {
+        let joiners: Vec<_> = (0..2)
+            .map(|slot| {
+                let mut h = stm.handle(slot);
+                s.spawn(move || {
+                    for i in 0..300 {
+                        h.atomic(|tx| tx.write(slot, i));
+                        h.fence();
+                    }
+                    h.stats()
+                })
+            })
+            .collect();
+        joiners.into_iter().map(|j| j.join().unwrap()).collect()
+    });
+    let scans = stm.runtime().grace().scans();
+    let snap = stm.telemetry_snapshot();
+    assert_eq!(snap.dropped, 0);
+    assert_eq!(snap.hists.grace.count(), scans);
+    let grace_slots: Vec<u16> = snap
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::GraceScan { .. }))
+        .map(|e| e.slot)
+        .collect();
+    assert_eq!(grace_slots.len() as u64, scans);
+    assert!(
+        grace_slots.iter().all(|&slot| slot < 2),
+        "a fence-driven scan went to the engine slot: {grace_slots:?}"
+    );
+    assert_eq!(
+        snap.hists.fence_wait.sum(),
+        stats.iter().map(|s| s.fence_wait_ns).sum::<u64>(),
+        "the Stats counters must be exactly the histogram's sum"
+    );
+    assert_eq!(snap.hists.fence_wait.count(), 600, "one sample per join");
 }
 
 /// The disabled-path cost contract (the telemetry twin of

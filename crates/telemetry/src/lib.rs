@@ -1037,8 +1037,11 @@ impl TraceConfig {
 /// timestamp the caller already took (the `*_at` forms). The runtime calls
 /// them on one transaction attempt in [`SAMPLE_EVERY`] and on the rare
 /// paths (aborts, fences, escalations, retry wakes), so a steady-state
-/// transaction pays nothing. Only the engine cell — a few events per grace
-/// period, from any thread — takes a mutex. [`Telemetry::snapshot`] never
+/// transaction pays nothing. Only the engine cell takes a mutex: it gets
+/// the events no thread slot owns — grace scans completed by the driver or
+/// by a bare ticket wait, stall reports, reconfiguration decisions, fence
+/// retirements run from a completion callback. A scan completed by a
+/// handle's fence join goes to that handle's own cell. [`Telemetry::snapshot`] never
 /// blocks a thread-slot writer: a reader preempted mid-snapshot cannot park
 /// a transaction inside its epoch.
 pub struct Telemetry {
@@ -1163,27 +1166,41 @@ impl Telemetry {
         self.record_event_at(slot, at, EventKind::TxCommit { latency_ns });
     }
 
-    /// A completed grace scan that began at `started` (engine cell): the
-    /// grace-duration sample and the `GraceScan` event under one lock, from
-    /// one clock read.
-    pub fn record_grace_scan(&self, period: u64, started: Instant) {
+    /// A completed grace scan that began at `started`: the grace-duration
+    /// sample and the `GraceScan` event, from one clock read. `slot` is the
+    /// thread slot of the handle whose fence join completed the scan — its
+    /// own single-writer cell, same ownership rule as
+    /// [`Self::record_event`] — or [`Self::engine_slot`] for a scan
+    /// completed by the driver or by a thread that owns no slot, which
+    /// records both under one engine-cell lock.
+    pub fn record_grace_scan(&self, slot: u16, period: u64, started: Instant) {
         if !self.enabled() {
             return;
         }
         let now = Instant::now();
         let duration_ns = now.saturating_duration_since(started).as_nanos() as u64;
-        let event = TraceEvent {
-            at_ns: self.at_ns(now),
-            slot: self.engine_slot(),
-            kind: EventKind::GraceScan {
-                period,
-                duration_ns,
-            },
+        let kind = EventKind::GraceScan {
+            period,
+            duration_ns,
         };
-        self.with_engine(|e| {
-            e.hists.grace.record(duration_ns);
-            e.ring.push(event);
-        });
+        let at_ns = self.at_ns(now);
+        match self.slots.get(usize::from(slot)) {
+            Some(cell) => {
+                cell.record_latency(LatencyClass::Grace, duration_ns);
+                cell.push(at_ns, kind);
+            }
+            None => {
+                let event = TraceEvent {
+                    at_ns,
+                    slot: self.engine_slot(),
+                    kind,
+                };
+                self.with_engine(|e| {
+                    e.hists.grace.record(duration_ns);
+                    e.ring.push(event);
+                });
+            }
+        }
     }
 
     /// Merge every cell's histograms and ring into one snapshot (events
@@ -1551,7 +1568,7 @@ mod tests {
         t.record_latency(1, LatencyClass::Commit, 55);
         t.record_commit(0, Instant::now(), 99);
         t.record_foreign_event_at(1, Instant::now(), EventKind::FenceRetire { period: 1 });
-        t.record_grace_scan(1, Instant::now());
+        t.record_grace_scan(t.engine_slot(), 1, Instant::now());
         let s = t.snapshot();
         assert!(!s.enabled);
         assert!(s.events.is_empty());
@@ -1566,7 +1583,7 @@ mod tests {
         t.record_commit(1, Instant::now(), 200);
         t.record_commit(0, Instant::now(), 100);
         t.record_latency(0, LatencyClass::FenceWait, 30);
-        t.record_grace_scan(7, Instant::now());
+        t.record_grace_scan(t.engine_slot(), 7, Instant::now());
         let s = t.snapshot();
         assert!(s.enabled);
         assert_eq!(s.sample_every, SAMPLE_EVERY);
@@ -1587,6 +1604,27 @@ mod tests {
             1,
             "the grace scan landed on the engine slot"
         );
+    }
+
+    /// A scan recorded on a thread slot lands in that slot's cell: same
+    /// sample and event as the engine path, attributed to the joiner.
+    #[test]
+    fn grace_scan_on_a_thread_slot_lands_in_its_cell() {
+        let t = Telemetry::new(2, TraceConfig::with_capacity(16));
+        t.record_grace_scan(1, 5, Instant::now());
+        t.record_grace_scan(t.engine_slot(), 6, Instant::now());
+        let s = t.snapshot();
+        assert_eq!(s.hists.grace.count(), 2);
+        let mut slots: Vec<(u16, u64)> = s
+            .events
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::GraceScan { period, .. } => (e.slot, period),
+                _ => unreachable!(),
+            })
+            .collect();
+        slots.sort();
+        assert_eq!(slots, [(1, 5), (t.engine_slot(), 6)]);
     }
 
     #[test]

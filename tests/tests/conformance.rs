@@ -41,7 +41,9 @@
 //! registers with per-attempt nonced values precisely so it *can* record
 //! cleanly where the full-scale harness cannot. `Scenario::PubUnderLoad`
 //! covers the remaining ROADMAP scenario-space item: repeated
-//! publication/re-privatization races under sustained reader traffic.
+//! publication/re-privatization races under sustained reader traffic, with
+//! a read-privatization (read-freeze → fence → verified double read →
+//! thaw) after every publish.
 
 use tm_core::action::Kind;
 use tm_core::trace::History;
